@@ -45,12 +45,6 @@ from .nvm import MemoryPair, UndoLog
 
 MUTATIONS = ("skip_flush_W7", "skip_undo_log", "skip_log_clear_E2")
 
-# transaction program counters
-_TERMINAL = ("Committed", "Aborted")
-_LINE_STEPS = frozenset(
-    {"B1", "B2", "R1", "R2", "W1", "W2", "W3", "W4", "W5", "W6", "W7",
-     "E1", "E2", "E3"}
-)
 _RECOVERY_STEPS = frozenset({"C1", "C2", "C3", "C4", "C5", "C6"})
 
 

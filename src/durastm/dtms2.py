@@ -21,10 +21,17 @@ never answer with an abort, matching the event vocabulary of histories.
 by subset construction, exploring internal transitions between events.
 The non-durable variant (``durable=False``) is the same automaton without
 the crash transition; it is the target of the crash-erasure simulation.
+
+``Acceptor`` is the one implementation of those subset-construction steps on
+frames (frozen sets of automaton states): the trace step ``advance`` that
+``dtms2_accepts`` and the explorer use, and the image steps ``match`` and
+``silent`` that forward simulation uses.  Frames are immutable, so each
+step is memoized, in a least-recently-used cache of ``MEMO_SIZE`` entries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 from .histories import (
     CRASH,
@@ -44,6 +51,9 @@ from .histories import (
 )
 
 _INTERNAL = frozenset({"doRead", "doWrite", "doCommitRO", "doCommitW"})
+# entries per acceptor step cache; bounds memory on long sweeps, where an
+# unbounded memo doubled peak RSS for no further speed-up
+MEMO_SIZE = 1024
 _PENDING_PCS = frozenset(
     {"readPending", "readResp", "writePending", "writeResp", "commitPending"}
 )
@@ -303,7 +313,7 @@ class AcceptResult:
         return self.ok
 
 
-def _closure(m: Dtms2Machine, states: set[Dtms2State]) -> set[Dtms2State]:
+def _closure(m: Dtms2Machine, states) -> set[Dtms2State]:
     seen = set(states)
     frontier = list(states)
     while frontier:
@@ -358,6 +368,55 @@ def _matching_actions(m: Dtms2Machine, s: Dtms2State, e: Event) -> list[Dtms2Act
     return []
 
 
+def _advance(m: Dtms2Machine, frame: frozenset, e: Event) -> frozenset:
+    successors = set()
+    for s in _closure(m, frame):
+        for a in _matching_actions(m, s, e):
+            s2, emitted = m.step(s, a)
+            if emitted != e:
+                raise AssertionError(
+                    f"matched action {a} emitted {emitted}, wanted {e}")
+            successors.add(s2)
+    return frozenset(successors)
+
+
+def _match(m: Dtms2Machine, frame: frozenset, e: Event) -> frozenset:
+    return frozenset(m.step(s, a)[0] for s in frame
+                     for a in _matching_actions(m, s, e))
+
+
+def _silent(m: Dtms2Machine, frame: frozenset, tx: int | None) -> frozenset:
+    images = set(frame)
+    if tx is not None:
+        for s in frame:
+            for a in m.enabled(s):
+                if a.kind in _INTERNAL and a.tx == tx:
+                    images.add(m.step(s, a)[0])
+    return frozenset(images)
+
+
+class Acceptor:
+    """Memoized subset-construction steps of one automaton.
+
+    ``advance(frame, e)`` closes the frame over internal transitions and
+    then takes every action that emits e: one event of trace acceptance.
+    ``match(frame, e)`` takes the emitting actions without the closure, and
+    ``silent(frame, tx)`` lets each state stand still or take one internal
+    action of transaction tx: the images of one visible or silent concrete
+    step under forward simulation.  Every step returns a frame; an empty
+    one means no state can go on.
+    """
+
+    def __init__(self, machine: Dtms2Machine) -> None:
+        self.machine = machine
+        self.advance = lru_cache(maxsize=MEMO_SIZE)(partial(_advance, machine))
+        self.match = lru_cache(maxsize=MEMO_SIZE)(partial(_match, machine))
+        self.silent = lru_cache(maxsize=MEMO_SIZE)(partial(_silent, machine))
+
+    def initial(self) -> frozenset:
+        return frozenset({self.machine.initial()})
+
+
 def dtms2_accepts(h: History, config: Dtms2Config,
                   durable: bool = True) -> AcceptResult:
     """Decide whether the automaton can produce the given event sequence.
@@ -366,20 +425,12 @@ def dtms2_accepts(h: History, config: Dtms2Config,
     events seen so far, closing over internal transitions before each
     event.  Rejection reports the index of the first impossible event.
     """
-    m = Dtms2Machine(config, durable=durable)
-    current: set[Dtms2State] = {m.initial()}
+    acceptor = Acceptor(Dtms2Machine(config, durable=durable))
+    frame = acceptor.initial()
     for index, e in enumerate(h):
-        successors: set[Dtms2State] = set()
-        for s in _closure(m, current):
-            for a in _matching_actions(m, s, e):
-                s2, emitted = m.step(s, a)
-                if emitted != e:
-                    raise AssertionError(
-                        f"matched action {a} emitted {emitted}, wanted {e}")
-                successors.add(s2)
-        if not successors:
+        frame = acceptor.advance(frame, e)
+        if not frame:
             return AcceptResult(False, failed_at=index)
-        current = successors
     return AcceptResult(True)
 
 

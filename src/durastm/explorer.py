@@ -2,31 +2,32 @@
 
 Exhaustive mode runs a depth-first search over every enabled action with
 per-path crash and flush budgets, a begin-retry cut, and visited-state
-deduplication keyed by a canonical state hash.  Random mode runs seeded
-walks, uniform by default, with optional crash/flush/continuation
+deduplication keyed by the frozen machine state itself.  Random mode runs
+seeded walks, uniform by default, with optional crash/flush/continuation
 steering.  A third driver walks the reference automaton directly for its
-own checks.
+own checks.  ``canonical_hash`` is the state's digest that stays stable
+across processes, for results that must be compared between runs.
 
 Checks run prefix-incrementally: every emitted event advances the
-consistency oracle, the reference-automaton subset construction, and the
-forward-simulation candidate set in lockstep with the search, so paths
-cut by deduplication have still had their whole prefix checked.  A path
-ends at its first violation; the recorded counterexample is that prefix.
+well-formedness status vector, the consistency oracle, the
+reference-automaton subset construction, and the forward-simulation
+candidate set in lockstep with the search, so paths cut by deduplication
+have still had their whole prefix checked.  A path ends at its first
+violation; the recorded counterexample is that prefix.
 """
 from __future__ import annotations
 
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import histories as H
 from .dtml import MUTATIONS, DtmlAction, DtmlConfig, DtmlMachine, DtmlState
 from .dtms2 import (
+    Acceptor,
     Dtms2Config,
     Dtms2Machine,
-    _closure,
-    _matching_actions,
     dtms2_accepts,
     dtms2_random_walk,
 )
@@ -54,7 +55,6 @@ _ALL_CHECKS = _MACHINE_CHECKS | _REFERENCE_CHECKS
 _FORCED_CRASH_RESERVE = 16
 
 _RECOVERY_KINDS = frozenset({"C1", "C2", "C3", "C4", "C5", "C6"})
-_RESTING_PCS = frozenset({"NotStarted", "Idle", "Committed", "Aborted"})
 # control points that can never hold the write claim; every other point
 # with an odd snapshot (or W3, where glb is already odd but the local
 # snapshot has not incremented yet) is inside the exclusive write region
@@ -90,7 +90,9 @@ class ExplorationConfig:
     # repeat, so counterexample paths are never merged away — needed when
     # hunting injected bugs, where a crash-and-recover prefix can
     # converge to a state some healthy prefix reached first.  "auto"
-    # picks "context" when a mutation is active.
+    # picks "context" when a mutation is active.  Both key on the frozen
+    # state itself; canonical_hash is the digest for comparisons across
+    # processes.
     dedup: str = "auto"
     # override for the exhaustive-mode state-space guard
     force: bool = False
@@ -121,6 +123,15 @@ class ExplorationConfig:
             raise ValueError("budgets must be non-negative")
         if not 0 <= self.min_crashes <= self.max_crashes:
             raise ValueError("min_crashes must lie within the crash budget")
+        for name in ("crash_prob", "flush_prob", "continue_prob"):
+            p = getattr(self, name)
+            if p is None and name != "continue_prob":
+                continue
+            # the negated range test also rejects NaN
+            if (not isinstance(p, (int, float)) or isinstance(p, bool)
+                    or not 0.0 <= p <= 1.0):
+                raise ValueError(
+                    f"{name} must be a number in [0, 1], got {p!r}")
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.dedup not in ("auto", "state", "context"):
@@ -246,14 +257,10 @@ def _invariant_violation(s: DtmlState, dirty: frozenset) -> str | None:
     return None
 
 
-def _advance_trace(am: Dtms2Machine, aset: frozenset,
+def _advance_trace(acceptor: Acceptor, aset: frozenset,
                    ev: H.Event) -> frozenset:
     """One event of the reference automaton's subset construction."""
-    succ = set()
-    for st in _closure(am, set(aset)):
-        for aa in _matching_actions(am, st, ev):
-            succ.add(am.step(st, aa)[0])
-    return frozenset(succ)
+    return acceptor.advance(aset, ev)
 
 
 class _Pipeline:
@@ -265,68 +272,70 @@ class _Pipeline:
         self.machine = DtmlMachine(
             DtmlConfig(cfg.num_txns, cfg.num_addrs, cfg.num_vals),
             mutation=cfg.mutation)
-        self.abstract = None
+        self.acceptor = None
         if self.checks & {"refinement", "simrel"}:
-            self.abstract = Dtms2Machine(
-                Dtms2Config(cfg.num_txns, cfg.num_addrs, cfg.num_vals))
+            self.acceptor = Acceptor(Dtms2Machine(
+                Dtms2Config(cfg.num_txns, cfg.num_addrs, cfg.num_vals)))
         self.value_domain = range(cfg.num_vals)
 
     def initial_frames(self) -> tuple[frozenset | None, frozenset | None,
-                                      frozenset]:
+                                      frozenset, tuple]:
         aset_tr = None
         aset_sim = None
         if "refinement" in self.checks:
-            aset_tr = frozenset({self.abstract.initial()})
+            aset_tr = self.acceptor.initial()
         if "simrel" in self.checks:
-            aset_sim = frozenset({self.abstract.initial()})
-        return aset_tr, aset_sim, frozenset()
+            aset_sim = self.acceptor.initial()
+        return aset_tr, aset_sim, frozenset(), H.wf_start(self.cfg.num_txns)
 
     def check_edge(self, a: DtmlAction, s: DtmlState, s2: DtmlState,
                    ev: H.Event | None, events: list[H.Event],
                    aset_tr: frozenset | None, aset_sim: frozenset | None,
-                   dirty: frozenset):
+                   dirty: frozenset, wf: tuple):
         """Check one transition; ``events`` already includes ``ev``.
 
-        Returns (aset_tr', aset_sim', dirty', violations, soft-clause
-        strings).  A failing event is reported under every check it
+        Returns (aset_tr', aset_sim', dirty', wf', violations, soft-clause
+        strings), where ``wf`` is the well-formedness status vector of
+        ``events``.  A failing event is reported under every check it
         breaks, so one counterexample can carry several verdicts.
         """
         dirty = _update_dirty(dirty, s, a, self.cfg.mutation)
         if "invariants" in self.checks:
             inv = _invariant_violation(s2, dirty)
             if inv is not None:
-                return aset_tr, aset_sim, dirty, [Violation(
+                return aset_tr, aset_sim, dirty, wf, [Violation(
                     inv, tuple(events), {"after_action": str(a)})], []
         viols: list[Violation] = []
         if ev is not None:
-            h = tuple(events)
-            at = len(h) - 1
-            if not H.durably_well_formed(h):
-                return aset_tr, aset_sim, dirty, [Violation(
-                    "wellformed", h, {"at_event": at})], []
+            at = len(events) - 1
+            wf = H.wf_step(wf, ev)
+            if wf is None:
+                return aset_tr, aset_sim, dirty, wf, [Violation(
+                    "wellformed", tuple(events), {"at_event": at})], []
             if "opacity" in self.checks and _needs_consistency_check(ev):
-                verdict = end_to_end_opaque(H.ops(h), self.value_domain)
+                verdict = end_to_end_opaque(H.ops(events), self.value_domain)
                 if not verdict.ok:
                     viols.append(Violation(
-                        "opacity", h,
+                        "opacity", tuple(events),
                         {"at_event": at, "reason": verdict.reason}))
             if aset_tr is not None:
-                aset_tr = _advance_trace(self.abstract, aset_tr, ev)
+                aset_tr = _advance_trace(self.acceptor, aset_tr, ev)
                 if not aset_tr:
                     viols.append(Violation(
-                        "refinement", h, {"at_event": at, "event": str(ev)}))
+                        "refinement", tuple(events),
+                        {"at_event": at, "event": str(ev)}))
             if viols:
-                return aset_tr, aset_sim, dirty, viols, []
+                return aset_tr, aset_sim, dirty, wf, viols, []
         soft: list[str] = []
         if aset_sim is not None:
             aset_sim, hard, soft_clauses = sim_step(
-                self.abstract, aset_sim, a, s2, ev)
+                self.acceptor, aset_sim, a, s2, ev)
             if hard:
-                return aset_tr, aset_sim, dirty, [Violation(
+                return aset_tr, aset_sim, dirty, wf, [Violation(
                     "simrel", tuple(events),
                     {"action": str(a), "clauses": hard})], []
             soft = [f"{a}: {c}" for c in soft_clauses]
-        return aset_tr, aset_sim, dirty, [], soft
+        return aset_tr, aset_sim, dirty, wf, [], soft
 
 
 def _record_soft(report: CheckReport, soft: list[str]) -> None:
@@ -362,8 +371,8 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
     machine = pipe.machine
     report = CheckReport()
     context_dedup = cfg.dedup_policy == "context"
-    visited: dict[str, list[tuple]] = {}
-    distinct_states: set[str] = set()
+    # state -> [context, remaining depth] entries it was expanded with
+    visited: dict[DtmlState, list[list]] = {}
     events: list[H.Event] = []
     start = time.perf_counter()
     stopped = False
@@ -384,21 +393,19 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
         return True
 
     def dfs(s: DtmlState, depth: int, crashes: int, flushes: int,
-            retries: tuple[int, ...], aset_tr, aset_sim, dirty) -> None:
+            retries: tuple[int, ...], aset_tr, aset_sim, dirty, wf) -> None:
         nonlocal stopped
         if stopped:
             return
-        digest = canonical_hash(s)
         if context_dedup:
-            context = (s, crashes, flushes, retries, aset_tr, aset_sim,
-                       dirty)
+            context = (crashes, flushes, retries, aset_tr, aset_sim, dirty)
         else:
-            context = (s,)
+            context = ()
         # dominance rule: cut only when this state was already expanded
         # with at least as much remaining depth — a revisit with more
         # steps left can reach continuations the first visit could not
         remaining = cfg.max_steps - depth
-        bucket = visited.setdefault(digest, [])
+        bucket = visited.setdefault(s, [])
         for entry in bucket:
             if entry[0] == context:
                 if remaining <= entry[1]:
@@ -408,7 +415,6 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
                 break
         else:
             bucket.append([context, remaining])
-        distinct_states.add(digest)
         if depth >= cfg.max_steps:
             finish_path()
             return
@@ -428,8 +434,8 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
             s2, ev = machine.step(s, a)
             if ev is not None:
                 events.append(ev)
-            aset_tr2, aset_sim2, dirty2, viols, soft = pipe.check_edge(
-                a, s, s2, ev, events, aset_tr, aset_sim, dirty)
+            aset_tr2, aset_sim2, dirty2, wf2, viols, soft = pipe.check_edge(
+                a, s, s2, ev, events, aset_tr, aset_sim, dirty, wf)
             _record_soft(report, soft)
             if viols:
                 report.violations.extend(viols)
@@ -438,16 +444,15 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
                     stopped = True
             else:
                 dfs(s2, depth + 1, crashes2, flushes2, retries2,
-                    aset_tr2, aset_sim2, dirty2)
+                    aset_tr2, aset_sim2, dirty2, wf2)
             if ev is not None:
                 events.pop()
         if not progressed:
             finish_path()
 
-    aset_tr, aset_sim, dirty = pipe.initial_frames()
     dfs(machine.initial(), 0, 0, 0, (0,) * cfg.num_txns,
-        aset_tr, aset_sim, dirty)
-    report.states_visited = len(distinct_states)
+        *pipe.initial_frames())
+    report.states_visited = len(visited)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -516,13 +521,13 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
     machine = pipe.machine
     report = CheckReport()
     rng = random.Random(cfg.seed)
-    digests: set[str] = set()
+    seen: set[DtmlState] = set()
     start = time.perf_counter()
 
     for _ in range(cfg.num_walks):
         s = machine.initial()
-        digests.add(canonical_hash(s))
-        aset_tr, aset_sim, dirty = pipe.initial_frames()
+        seen.add(s)
+        aset_tr, aset_sim, dirty, wf = pipe.initial_frames()
         events: list[H.Event] = []
         crashes = flushes = 0
         retries = [0] * cfg.num_txns
@@ -543,21 +548,21 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
             s2, ev = machine.step(s, a)
             if ev is not None:
                 events.append(ev)
-            aset_tr, aset_sim, dirty, viols, soft = pipe.check_edge(
-                a, s, s2, ev, events, aset_tr, aset_sim, dirty)
+            aset_tr, aset_sim, dirty, wf, viols, soft = pipe.check_edge(
+                a, s, s2, ev, events, aset_tr, aset_sim, dirty, wf)
             _record_soft(report, soft)
             if viols:
                 report.violations.extend(viols)
                 break
             s = s2
-            digests.add(canonical_hash(s))
+            seen.add(s)
         report.histories_explored += 1
         if on_history is not None:
             on_history(tuple(events))
         if _stop_satisfied(stop_on, report):
             break
 
-    report.states_visited = len(digests)
+    report.states_visited = len(seen)
     report.elapsed = time.perf_counter() - start
     return report
 

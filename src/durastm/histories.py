@@ -181,7 +181,10 @@ def well_formed(h: Sequence[Event]) -> bool:
 
 
 def durably_well_formed(h: Sequence[Event]) -> bool:
-    """ops(h) is well-formed and no transaction id spans two eras."""
+    """ops(h) is well-formed and no transaction id spans two eras.
+
+    Whole-history form; ``wf_step`` decides the same one event at a time.
+    """
     h = tuple(h)
     if not well_formed(ops(h)):
         return False
@@ -331,18 +334,67 @@ def event_from_json(d: object) -> Event:
     return Event(ev, tx, addr=addr, val=val, abort=bool(d.get("abort", False)))
 
 
-# direct enumeration of durably well-formed histories ------------------------
+# per-transaction status: durable well-formedness one event at a time -------
 
+# NS not started, PB begin pending, RD ready, PR/PW/PC read/write/commit
+# pending, HALT finished (committed, aborted, or cut off by a crash)
 _NS, _HALT = "NS", "HALT"
+# the response each pending status awaits
+_AWAITS = {"PB": "resBegin", "PR": "resRead", "PW": "resWrite",
+           "PC": "resCommit"}
+# the pending status each invocation of a ready transaction enters
+_INVOKES = {"invRead": "PR", "invWrite": "PW", "invCommit": "PC"}
+
+
+def wf_start(num_txns: int) -> tuple[str, ...]:
+    """Status vector of the empty history over transactions 1..num_txns."""
+    return (_NS,) * num_txns
+
+
+def _after_crash(status: tuple) -> tuple:
+    # ids must not span eras: anything with events dies at a crash
+    return tuple(_NS if s == _NS else _HALT for s in status)
+
+
+def wf_step(status: tuple, e: Event) -> tuple | None:
+    """Status vector after appending e, or None when the longer history is
+    not durably well-formed.
+
+    Agrees with ``durably_well_formed`` on every extension of a history
+    whose events name transactions 1..len(status) only.
+    """
+    if e.ev == "crash":
+        return _after_crash(status)
+    t = e.tx
+    if not isinstance(t, int) or not 1 <= t <= len(status):
+        return None
+    s = status[t - 1]
+    if s == _NS:
+        ns = "PB" if e.ev == "invBegin" else None
+    elif s == "RD":
+        ns = _INVOKES.get(e.ev)
+    elif _AWAITS.get(s) != e.ev:
+        ns = None
+    else:
+        # a begin response never ends a transaction, whatever its flag
+        ns = _HALT if rval(e) in ("commit", "abort") else "RD"
+    if ns is None:
+        return None
+    return status[: t - 1] + (ns,) + status[t:]
+
+
+# direct enumeration of durably well-formed histories ------------------------
 
 
 def _txn_moves(t: int, s, num_addrs: int, num_vals: int):
+    """(event, next status) for every event transaction t may take next in
+    status s, over the given address and value ranges."""
     if s == _NS:
         return [(inv_begin(t), "PB")]
     if s == "PB":
         return [(res_begin(t), "RD")]
     if s == "RD":
-        out = [(inv_read(t, a), ("PR", a)) for a in range(num_addrs)]
+        out = [(inv_read(t, a), "PR") for a in range(num_addrs)]
         out += [
             (inv_write(t, a, v), "PW")
             for a in range(num_addrs)
@@ -350,7 +402,7 @@ def _txn_moves(t: int, s, num_addrs: int, num_vals: int):
         ]
         out.append((inv_commit(t), "PC"))
         return out
-    if isinstance(s, tuple):  # pending read
+    if s == "PR":
         return [(res_read(t, v), "RD") for v in range(num_vals)] + [
             (res_read_abort(t), _HALT)
         ]
@@ -385,13 +437,11 @@ def enumerate_histories(
                 yield from walk(status[: t - 1] + (ns,) + status[t:], crashes)
                 hist.pop()
         if max_crashes is None or crashes < max_crashes:
-            # ids must not span eras: anything with events dies at a crash
-            after = tuple(_NS if s == _NS else _HALT for s in status)
             hist.append(CRASH)
-            yield from walk(after, crashes + 1)
+            yield from walk(_after_crash(status), crashes + 1)
             hist.pop()
 
-    yield from walk((_NS,) * num_txns, 0)
+    yield from walk(wf_start(num_txns), 0)
 
 
 def count_histories(
@@ -430,8 +480,9 @@ def count_histories(
                     status[:i] + (ns,) + status[i + 1 :], crashes_left, depth - 1
                 )
         if crashes_left != 0:
-            after = tuple(_NS if s == _NS else _HALT for s in status)
-            total += cnt(after, max(crashes_left - 1, -1), depth - 1)
+            total += cnt(_after_crash(status), max(crashes_left - 1, -1),
+                         depth - 1)
         return total
 
-    return cnt((_NS,) * num_txns, -1 if max_crashes is None else max_crashes, max_events)
+    return cnt(wf_start(num_txns), -1 if max_crashes is None else max_crashes,
+               max_events)

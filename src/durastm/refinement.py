@@ -38,12 +38,11 @@ from dataclasses import dataclass, field, replace
 
 from .dtml import DtmlAction, DtmlConfig, DtmlMachine, DtmlState
 from .dtms2 import (
+    Acceptor,
     AcceptResult,
     Dtms2Config,
     Dtms2Machine,
     Dtms2State,
-    _INTERNAL,
-    _matching_actions,
     config_for_history,
     dtms2_accepts,
 )
@@ -181,7 +180,7 @@ class SimWitness:
     abstract_candidates: frozenset
 
 
-def sim_step(am: Dtms2Machine, aset: frozenset, ca: DtmlAction,
+def sim_step(acceptor: Acceptor, aset: frozenset, ca: DtmlAction,
              cs2: DtmlState, ev: Event | None,
              ) -> tuple[frozenset, list[str], list[str]]:
     """Advance the candidate set over one concrete step.
@@ -192,18 +191,10 @@ def sim_step(am: Dtms2Machine, aset: frozenset, ca: DtmlAction,
     clauses that emptied it (hard failure) and, when the set is non-empty
     but no member satisfies the per-transaction layer, those soft clauses.
     """
-    images: set[Dtms2State] = set()
     if ev is None:
-        for a in aset:
-            images.add(a)
-            if ca.tx is not None:
-                for aa in am.enabled(a):
-                    if aa.kind in _INTERNAL and aa.tx == ca.tx:
-                        images.add(am.step(a, aa)[0])
+        images = acceptor.silent(aset, ca.tx)
     else:
-        for a in aset:
-            for aa in _matching_actions(am, a, ev):
-                images.add(am.step(a, aa)[0])
+        images = acceptor.match(aset, ev)
     filtered = frozenset(a2 for a2 in images
                          if global_rel_clause(cs2, a2) is None)
     if not filtered:
@@ -240,13 +231,12 @@ def check_forward_sim(config: DtmlConfig, schedule,
     """Step the implementation along a schedule, asserting after every
     step that some automaton candidate matches under the state relation."""
     cm = DtmlMachine(config, mutation=mutation)
-    am = Dtms2Machine(
-        Dtms2Config(config.num_txns, config.num_addrs, config.num_vals))
+    acceptor = Acceptor(Dtms2Machine(
+        Dtms2Config(config.num_txns, config.num_addrs, config.num_vals)))
     cs = cm.initial()
-    a0 = am.initial()
-    if global_rel_clause(cs, a0) is not None:
+    aset = acceptor.initial()
+    if any(global_rel_clause(cs, a0) is not None for a0 in aset):
         raise AssertionError("state relation must hold at the initial pair")
-    aset = frozenset({a0})
     soft_flags: list[dict] = []
     soft_count = 0
     for k, ca in enumerate(schedule):
@@ -254,7 +244,7 @@ def check_forward_sim(config: DtmlConfig, schedule,
             cs2, ev = cm.step(cs, ca)
         except ValueError as exc:
             raise ValueError(f"schedule position {k}: {exc}") from exc
-        aset2, hard, soft = sim_step(am, aset, ca, cs2, ev)
+        aset2, hard, soft = sim_step(acceptor, aset, ca, cs2, ev)
         if hard:
             return ForwardSimReport(
                 ok=False, steps_checked=k + 1,

@@ -202,44 +202,21 @@ def test_A8_state_invariants_hold_throughout_the_sweep(
 
 def _random_dwf_history(rng: random.Random, length: int,
                         max_crashes: int) -> H.History:
-    status = {t: "NS" for t in range(1, DOMAIN["num_txns"] + 1)}
+    status = H.wf_start(DOMAIN["num_txns"])
     crashes = 0
     h: list[H.Event] = []
     while len(h) < length:
-        moves: list[tuple[H.Event, int | None, str | None]] = []
-        for t, s in status.items():
-            if s == "NS":
-                moves.append((H.inv_begin(t), t, "PB"))
-            elif s == "PB":
-                moves.append((H.res_begin(t), t, "RD"))
-            elif s == "RD":
-                for a in range(DOMAIN["num_addrs"]):
-                    moves.append((H.inv_read(t, a), t, "PR"))
-                    for v in range(DOMAIN["num_vals"]):
-                        moves.append((H.inv_write(t, a, v), t, "PW"))
-                moves.append((H.inv_commit(t), t, "PC"))
-            elif s == "PR":
-                for v in range(DOMAIN["num_vals"]):
-                    moves.append((H.res_read(t, v), t, "RD"))
-                moves.append((H.res_read_abort(t), t, "HALT"))
-            elif s == "PW":
-                moves.append((H.res_write(t), t, "RD"))
-                moves.append((H.res_write_abort(t), t, "HALT"))
-            elif s == "PC":
-                moves.append((H.res_commit(t), t, "HALT"))
-                moves.append((H.res_commit_abort(t), t, "HALT"))
+        moves = [ev for t, s in enumerate(status, start=1)
+                 for ev, _ in H._txn_moves(t, s, DOMAIN["num_addrs"],
+                                           DOMAIN["num_vals"])]
         if crashes < max_crashes:
-            moves.append((H.CRASH, None, None))
+            moves.append(H.CRASH)
         if not moves:
             break
-        ev, t, ns = moves[rng.randrange(len(moves))]
+        ev = moves[rng.randrange(len(moves))]
         h.append(ev)
-        if t is None:
-            status = {u: ("NS" if s == "NS" else "HALT")
-                      for u, s in status.items()}
-            crashes += 1
-        else:
-            status[t] = ns
+        crashes += H.is_crash(ev)
+        status = H.wf_step(status, ev)
     return tuple(h)
 
 

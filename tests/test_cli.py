@@ -54,6 +54,15 @@ def test_bad_config_is_usage_error(capsys) -> None:
                  "--force"]) == 0
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--crash-prob", "2"), ("--continue-prob", "nan")])
+def test_fuzz_probability_outside_unit_interval_is_usage_error(
+        capsys, flag, value) -> None:
+    assert main(["fuzz", flag, value, "--walks", "3"]) == 2
+    err = capsys.readouterr().err
+    assert flag[2:].replace("-", "_") in err
+
+
 def test_explore_clean_run_exits_zero(capsys) -> None:
     rc = main(["explore", "--txns", "1", "--addrs", "1",
                "--max-steps", "14", "--checks",

@@ -1,7 +1,7 @@
 """Schedule exploration over the implementation machine.
 
 Exhaustive mode is a depth-first search over enabled actions with per-path
-crash/flush budgets, a begin-retry cut, and canonical-hash state dedup;
+crash/flush budgets, a begin-retry cut, and state-keyed dedup;
 checks run prefix-incrementally as events are emitted.  Random mode is
 seeded uniform walks with optional crash/flush steering.  A separate
 driver walks the reference automaton for its own checks.
@@ -13,6 +13,8 @@ import sys
 
 import pytest
 
+from durastm import dtms2
+from durastm import explorer
 from durastm import histories as H
 from durastm.dtml import DtmlConfig, DtmlMachine
 from durastm.dtms2 import config_for_history, dtms2_accepts
@@ -105,6 +107,40 @@ def test_canonical_hash_distinguishes_and_is_stable() -> None:
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == canonical_hash(s)
+
+
+def test_acceptor_memo_size_changes_no_verdict_and_bounds_its_caches(
+        monkeypatch) -> None:
+    acceptors: list[dtms2.Acceptor] = []
+
+    class Recording(dtms2.Acceptor):
+        def __init__(self, machine) -> None:
+            super().__init__(machine)
+            acceptors.append(self)
+
+    monkeypatch.setattr(explorer, "Acceptor", Recording)
+    cfg = ExplorationConfig(max_crashes=1, flush_budget=1, max_steps=16,
+                            checks=("opacity", "refinement", "simrel",
+                                    "invariants"), dedup="state")
+
+    def run():
+        seen: list[H.History] = []
+        rep = explore_exhaustive(cfg, on_history=seen.append)
+        return rep.histories_explored, rep.states_visited, rep.violations, seen
+
+    def cache_infos(acceptor):
+        return [step.cache_info() for step in
+                (acceptor.advance, acceptor.match, acceptor.silent)]
+
+    full = run()
+    (acceptor,) = acceptors
+    infos = cache_infos(acceptor)
+    # the run asked for more distinct steps than a cache may hold
+    assert max(i.misses for i in infos) > dtms2.MEMO_SIZE
+    assert max(i.currsize for i in infos) <= dtms2.MEMO_SIZE
+    monkeypatch.setattr(dtms2, "MEMO_SIZE", 1)
+    assert run() == full
+    assert max(i.currsize for i in cache_infos(acceptors[-1])) <= 1
 
 
 # minimal action depth at which each injected bug reaches an observable

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from durastm import histories as H
 
@@ -213,3 +215,71 @@ def test_enumerate_histories_depth_one() -> None:
     out = list(H.enumerate_histories(2, 2, 2, 1, max_crashes=1))
     # empty history, a begin for each transaction, or a lone crash
     assert set(out) == {(), (H.inv_begin(1),), (H.inv_begin(2),), (H.CRASH,)}
+
+
+# incremental durable well-formedness ----------------------------------------
+
+def _every_event(num_txns: int, num_addrs: int, num_vals: int):
+    """Every event over the bounds, ill-formed uses included."""
+    out = [H.CRASH]
+    for t in range(1, num_txns + 1):
+        out += [H.inv_begin(t), H.res_begin(t),
+                H.Event("resBegin", t, abort=True), H.inv_commit(t),
+                H.res_commit(t), H.res_commit_abort(t), H.res_write(t),
+                H.res_write_abort(t), H.res_read_abort(t)]
+        out += [H.inv_read(t, a) for a in range(num_addrs)]
+        out += [H.res_read(t, v) for v in range(num_vals)]
+        out += [H.inv_write(t, a, v) for a in range(num_addrs)
+                for v in range(num_vals)]
+    return out
+
+
+def _wf_verdicts(h: H.History, num_txns: int) -> list[bool]:
+    """The status-vector verdict on every prefix of h, shortest first."""
+    status = H.wf_start(num_txns)
+    out = [True]
+    for e in h:
+        status = None if status is None else H.wf_step(status, e)
+        out.append(status is not None)
+    return out
+
+
+def test_wf_step_agrees_with_durably_well_formed_on_enumerated_histories():
+    # parents come before extensions, so each status extends its parent's;
+    # every prefix of an enumerated history is itself enumerated
+    alphabet = _every_event(2, 2, 2)
+    status = {(): H.wf_start(2)}
+    for h in H.enumerate_histories(2, 2, 2, max_events=7, max_crashes=1):
+        if h:
+            status[h] = H.wf_step(status[h[:-1]], h[-1])
+        assert status[h] is not None and H.durably_well_formed(h)
+        if len(h) <= 4:
+            for e in alphabet:
+                assert (H.wf_step(status[h], e) is not None) == (
+                    H.durably_well_formed(h + (e,))), h + (e,)
+
+
+_EVENTS = st.builds(
+    H.Event,
+    ev=st.sampled_from(H.EV_TAGS),
+    tx=st.integers(1, 3),
+    addr=st.one_of(st.none(), st.integers(0, 2)),
+    val=st.one_of(st.none(), st.integers(0, 2)),
+    abort=st.booleans(),
+).map(lambda e: H.CRASH if e.ev == "crash" else e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(_EVENTS, max_size=12))
+@example([H.inv_begin(1), H.CRASH, H.res_begin(1)])
+@example([H.inv_begin(1), H.res_begin(1), H.inv_commit(1), H.res_commit(1),
+          H.inv_read(1, 0)])
+@example([H.inv_begin(2), H.res_begin(2), H.inv_write(2, 0, 1),
+          H.res_write_abort(2), H.inv_commit(2)])
+@example([H.inv_begin(1), H.Event("resBegin", 1, abort=True),
+          H.inv_read(1, 0), H.res_read(1, 0)])
+def test_wf_step_agrees_with_durably_well_formed_on_arbitrary_sequences(
+        events) -> None:
+    h = tuple(events)
+    assert _wf_verdicts(h, 3) == [H.durably_well_formed(h[:k])
+                                  for k in range(len(h) + 1)]
