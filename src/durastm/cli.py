@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from . import histories as H
 from .dtml import MUTATIONS
-from .dtms2 import Dtms2Config, config_for_history, dtms2_accepts
+from .dtms2 import Dtms2Config, compact_history, dtms2_accepts
 from .explorer import (CheckReport, ExplorationConfig, Violation,
                        explore_exhaustive, explore_random, walk_reference)
 from .opacity import OracleBounds, TooLargeError, durably_opaque
@@ -193,8 +193,7 @@ def _cmd_check_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_refinement(args: argparse.Namespace) -> int:
-    h = read_trace(getattr(args, "in"))
-    config = config_for_history(h)
+    h, config = compact_history(read_trace(getattr(args, "in")))
     result = dtms2_accepts(h, config, durable=True)
     print(f"{len(h)} events against bounds txns={config.num_txns} "
           f"addrs={config.num_addrs} vals={config.num_vals}")

@@ -24,7 +24,9 @@ shown to catch the resulting bugs:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .histories import (
     CRASH,
@@ -86,15 +88,18 @@ class DtmlAction:
         return f"{self.kind}({', '.join(parts)})" if parts else self.kind
 
 
+@lru_cache(maxsize=None)
 def act(kind: str, tx: int | None = None, *, addr: int | None = None,
         val: int | None = None) -> DtmlAction:
+    """The one (immutable) action with these fields: a domain's alphabet is
+    finite, so ``enabled`` hands out shared instances and the guard in
+    ``step`` mostly matches on identity."""
     return DtmlAction(kind, tx, addr, val)
 
 
-@dataclass(frozen=True)
-class DtmlState:
-    """Immutable machine state; per-transaction fields are tuples indexed by
-    transaction id minus one."""
+class DtmlState(NamedTuple):
+    """Immutable machine state, a tuple of its fields; per-transaction fields
+    are tuples indexed by transaction id minus one."""
 
     glb: int
     mem: MemoryPair
@@ -217,7 +222,7 @@ class DtmlMachine:
         if a.kind == "crash":
             return self._apply_crash(s), CRASH
         if a.kind == "flush":
-            return replace(s, mem=s.mem.flush(a.addr)), None
+            return s._replace(mem=s.mem.flush(a.addr)), None
         if a.kind in _RECOVERY_STEPS:
             return self._apply_recovery(s, a), None
         return self._apply_txn(s, a)
@@ -248,8 +253,7 @@ class DtmlMachine:
                 locs.append(0)
                 addrs.append(None)
                 vals.append(None)
-        return replace(
-            s,
+        return s._replace(
             mem=s.mem.crash_reset(),
             pc=tuple(pcs),
             loc=tuple(locs),
@@ -264,19 +268,19 @@ class DtmlMachine:
     def _apply_recovery(self, s: DtmlState, a: DtmlAction) -> DtmlState:
         k = a.kind
         if k == "C1":
-            return replace(s, syst_pc="C2" if not s.log.is_empty() else "C6")
+            return s._replace(syst_pc="C2" if not s.log.is_empty() else "C6")
         if k == "C2":
-            return replace(s, rec_addr=a.addr, rec_val=a.val, syst_pc="C3")
+            return s._replace(rec_addr=a.addr, rec_val=a.val, syst_pc="C3")
         if k == "C3":
-            return replace(s, mem=s.mem.write(s.rec_addr, s.rec_val),
-                           syst_pc="C4")
+            return s._replace(mem=s.mem.write(s.rec_addr, s.rec_val),
+                              syst_pc="C4")
         if k == "C4":
-            return replace(s, mem=s.mem.flush(s.rec_addr), syst_pc="C5")
+            return s._replace(mem=s.mem.flush(s.rec_addr), syst_pc="C5")
         if k == "C5":
-            return replace(s, log=s.log.pdelete(s.rec_addr, s.rec_val),
-                           rec_addr=None, rec_val=None, syst_pc="C1")
+            return s._replace(log=s.log.pdelete(s.rec_addr, s.rec_val),
+                              rec_addr=None, rec_val=None, syst_pc="C1")
         # C6
-        return replace(s, glb=0, syst_pc="RecIdle")
+        return s._replace(glb=0, syst_pc="RecIdle")
 
     def _apply_txn(self, s: DtmlState, a: DtmlAction) -> tuple[DtmlState, Event | None]:
         t = a.tx
@@ -293,7 +297,7 @@ class DtmlMachine:
                 upd.setdefault("in_val", s.in_val[:i] + (None,) + s.in_val[i + 1:])
             if pc in ("Committed", "Aborted"):
                 upd.setdefault("loc", s.loc[:i] + (0,) + s.loc[i + 1:])
-            return replace(s, **upd)
+            return s._replace(**upd)
 
         def set_loc(v: int):
             return s.loc[:i] + (v,) + s.loc[i + 1:]

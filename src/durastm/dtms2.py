@@ -30,8 +30,9 @@ step is memoized, in a least-recently-used cache of ``MEMO_SIZE`` entries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .histories import (
     CRASH,
@@ -94,8 +95,12 @@ class Dtms2Action:
         return f"{self.kind}({', '.join(parts)})" if parts else self.kind
 
 
+@lru_cache(maxsize=None)
 def mact(kind: str, tx: int | None = None, *, addr: int | None = None,
          val: int | None = None, idx: int | None = None) -> Dtms2Action:
+    """The one (immutable) action with these fields: a domain's alphabet is
+    finite, so ``enabled`` hands out shared instances and the guard in
+    ``step`` mostly matches on identity."""
     return Dtms2Action(kind, tx, addr, val, idx)
 
 
@@ -117,8 +122,10 @@ def _subset_of(aset: Assignment, store: tuple[int, ...]) -> bool:
     return all(store[a] == v for a, v in aset)
 
 
-@dataclass(frozen=True)
-class Dtms2State:
+class Dtms2State(NamedTuple):
+    """Immutable automaton state, a tuple of its fields; per-transaction
+    fields are tuples indexed by transaction id minus one."""
+
     mems: tuple[tuple[int, ...], ...]
     pc: tuple[str, ...]
     begin_idx: tuple[int, ...]
@@ -246,7 +253,7 @@ class Dtms2Machine:
                 fields.setdefault("begin_idx", upd1(s.begin_idx, 0))
                 fields.setdefault("rd_set", upd1(s.rd_set, ()))
                 fields.setdefault("wr_set", upd1(s.wr_set, ()))
-            return replace(s, **fields)
+            return s._replace(**fields)
 
         if k == "invBegin":
             return at("beginPending",
@@ -445,6 +452,29 @@ def config_for_history(h: History) -> Dtms2Config:
         if e.val is not None:
             vals = max(vals, e.val + 1)
     return Dtms2Config(txns, addrs, vals)
+
+
+def compact_history(h: History) -> tuple[History, Dtms2Config]:
+    """The history with dense ids, and the smallest bounds that cover it.
+
+    Transactions are renamed to 1..n, addresses to 0..m-1 and non-zero
+    values to 1..k, each in increasing order; 0 stays, as the initial value
+    of every address.  The automaton compares ids and values only for
+    equality and starts from all zeros, so it accepts the renamed history
+    exactly when it accepts the original, and rejects both at the same
+    event; but its bounds, and so its cost, follow the number of ids rather
+    than their size.
+    """
+    def dense(ids, first: int) -> dict:
+        return {x: n for n, x in enumerate(sorted(ids), first)}
+
+    txs = dense({e.tx for e in h if e.tx is not None}, 1)
+    addrs = dense({e.addr for e in h if e.addr is not None}, 0)
+    vals = dense({e.val for e in h if e.val}, 1)
+    vals[0] = 0
+    out = tuple(Event(e.ev, txs.get(e.tx), addrs.get(e.addr),
+                      vals.get(e.val), e.abort) for e in h)
+    return out, config_for_history(out)
 
 
 def dtms2_random_walk(config: Dtms2Config, rng, max_steps: int,

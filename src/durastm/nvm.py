@@ -6,16 +6,15 @@ from the volatile store to the persistent store.  A crash replaces the
 volatile store with the persistent one.  The undo log is held in persistent
 memory and is therefore untouched by crashes; its operations are atomic.
 
-All containers are immutable values so machine states built from them can be
-hashed and compared structurally.
+All containers are immutable tuple-backed values, so machine states built
+from them hash and compare structurally, in C.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MemoryPair:
+class MemoryPair(NamedTuple):
     """Volatile store and persistent store, total over a fixed address range."""
 
     vstore: tuple[int, ...]
@@ -52,8 +51,7 @@ class MemoryPair:
         return MemoryPair(self.pstore, self.pstore)
 
 
-@dataclass(frozen=True)
-class UndoLog:
+class UndoLog(NamedTuple):
     """Persistent map from address to saved value, at most one entry per address.
 
     Stored as a sorted tuple of pairs so equal logs compare and hash equal

@@ -15,6 +15,9 @@ the global state relation, whose clauses are:
    committed snapshot;
 4. a transaction not started concretely has not started abstractly.
 
+``global_rel_for`` evaluates the concrete side of these clauses once per
+step; the candidates are then compared against it.
+
 An empty candidate set after a step is a hard failure.  A further
 per-transaction correspondence (program-counter table, pending-operation
 payloads, read-set validity at the current snapshot, writer/write-set
@@ -34,6 +37,7 @@ is plain trace membership of a history in the durable automaton.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .dtml import DtmlAction, DtmlConfig, DtmlMachine, DtmlState
@@ -43,7 +47,7 @@ from .dtms2 import (
     Dtms2Config,
     Dtms2Machine,
     Dtms2State,
-    config_for_history,
+    compact_history,
     dtms2_accepts,
 )
 from .histories import Event, History, event_to_json, ops
@@ -77,13 +81,20 @@ def _apply(store: tuple[int, ...], assignment) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _live_writer(cs: DtmlState) -> int | None:
+    """The writer whose writes are in flight: none once it has passed the
+    log-clear line."""
+    w = cs.writer
+    if w is None or cs.pc[w - 1] == "E3":
+        return None
+    return w
+
+
 def writes(cs: DtmlState, as_: Dtms2State):
     """The active writer's abstract write set, taken as empty once the
     writer has passed the log-clear line (its commit is then counted)."""
-    w = cs.writer
-    if w is None or cs.pc[w - 1] == "E3":
-        return ()
-    return as_.wr_set[w - 1]
+    w = _live_writer(cs)
+    return () if w is None else as_.wr_set[w - 1]
 
 
 def logical_glb(cs: DtmlState) -> int:
@@ -99,20 +110,42 @@ def write_count(cs: DtmlState) -> int:
     return logical_glb(cs) // 2
 
 
+def global_rel_for(cs: DtmlState) -> Callable[[Dtms2State], str | None]:
+    """The global state relation with its concrete side fixed: a function
+    from an automaton state to its first violated clause, or None.
+
+    Everything that depends on the concrete state alone is computed here,
+    once, so that filtering many candidates against one concrete state
+    costs only the comparisons with each candidate.
+    """
+    vstore = cs.mem.vstore
+    recovering = cs.syst_pc != "RecIdle"
+    w = _live_writer(cs)
+    snapshots = write_count(cs) + 1
+    restored = _apply(vstore, cs.log.items())
+    not_started = [i for i, pc in enumerate(cs.pc) if pc == "NotStarted"]
+
+    def clause(as_: Dtms2State) -> str | None:
+        last = as_.mems[-1]
+        if not recovering:
+            if vstore != (last if w is None
+                          else _apply(last, as_.wr_set[w - 1])):
+                return "globalRel.1"
+            if len(as_.mems) != snapshots:
+                return "globalRel.2"
+        if restored != last:
+            return "globalRel.3"
+        for i in not_started:
+            if as_.pc[i] != "notStarted":
+                return "globalRel.4"
+        return None
+
+    return clause
+
+
 def global_rel_clause(cs: DtmlState, as_: Dtms2State) -> str | None:
     """First violated clause of the global state relation, or None."""
-    last = as_.mems[-1]
-    if cs.syst_pc == "RecIdle":
-        if cs.mem.vstore != _apply(last, writes(cs, as_)):
-            return "globalRel.1"
-        if write_count(cs) + 1 != len(as_.mems):
-            return "globalRel.2"
-    if _apply(cs.mem.vstore, cs.log.items()) != last:
-        return "globalRel.3"
-    for i, pc in enumerate(cs.pc):
-        if pc == "NotStarted" and as_.pc[i] != "notStarted":
-            return "globalRel.4"
-    return None
+    return global_rel_for(cs)(as_)
 
 
 def global_rel(cs: DtmlState, as_: Dtms2State) -> bool:
@@ -195,10 +228,10 @@ def sim_step(acceptor: Acceptor, aset: frozenset, ca: DtmlAction,
         images = acceptor.silent(aset, ca.tx)
     else:
         images = acceptor.match(aset, ev)
-    filtered = frozenset(a2 for a2 in images
-                         if global_rel_clause(cs2, a2) is None)
+    rel = global_rel_for(cs2)
+    filtered = frozenset(a2 for a2 in images if rel(a2) is None)
     if not filtered:
-        hard = sorted({global_rel_clause(cs2, a2) for a2 in images} - {None}) \
+        hard = sorted({rel(a2) for a2 in images} - {None}) \
             if images else ["no matching automaton action"]
         return filtered, hard, []
     soft: list[str] = []
@@ -239,7 +272,9 @@ def check_forward_sim(config: DtmlConfig, schedule,
         raise AssertionError("state relation must hold at the initial pair")
     soft_flags: list[dict] = []
     soft_count = 0
+    steps = 0
     for k, ca in enumerate(schedule):
+        steps = k + 1
         try:
             cs2, ev = cm.step(cs, ca)
         except ValueError as exc:
@@ -267,7 +302,7 @@ def check_forward_sim(config: DtmlConfig, schedule,
                     "state": cm.snapshot(cs2),
                 })
         cs, aset = cs2, aset2
-    return ForwardSimReport(ok=True, steps_checked=len(tuple(schedule)),
+    return ForwardSimReport(ok=True, steps_checked=steps,
                             soft_flags=soft_flags, soft_flag_count=soft_count,
                             final_witness=SimWitness(cs, aset))
 
@@ -341,7 +376,8 @@ def check_weak_sim(config: Dtms2Config, schedule) -> WeakSimReport:
 
 def check_trace_refinement(h: History, config: Dtms2Config | None = None,
                            durable: bool = True) -> AcceptResult:
-    """Is the history a trace of the reference automaton?"""
+    """Is the history a trace of the reference automaton?  Without a
+    config, its ids are first made dense (see ``compact_history``)."""
     if config is None:
-        config = config_for_history(h)
+        h, config = compact_history(h)
     return dtms2_accepts(h, config, durable=durable)

@@ -145,6 +145,20 @@ def test_check_refinement_good_and_bad(tmp_path) -> None:
     assert main(["check-refinement", "--in", str(bad)]) == 1
 
 
+def test_check_refinement_cost_follows_id_count_not_size(tmp_path,
+                                                        capsys) -> None:
+    # ids are renamed densely before acceptance, so a huge address costs
+    # no more than address 1 and yields the same verdict
+    codes = []
+    for addr in (1, 1_000_000):
+        p = tmp_path / f"read{addr}.jsonl"
+        write_trace((H.inv_begin(1), H.res_begin(1), H.inv_read(1, addr)),
+                    str(p))
+        codes.append(main(["check-refinement", "--in", str(p)]))
+        assert "addrs=1 " in capsys.readouterr().out
+    assert codes == [0, 0]
+
+
 def test_walk_dtms2_clean(capsys) -> None:
     rc = main(["walk-dtms2", "--walks", "30", "--seed", "3",
                "--max-steps", "25", "--max-crashes", "2",

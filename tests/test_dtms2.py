@@ -20,6 +20,7 @@ from durastm import histories as H
 from durastm.dtms2 import (
     Dtms2Config,
     Dtms2Machine,
+    compact_history,
     config_for_history,
     dtms2_accepts,
     dtms2_random_walk,
@@ -268,6 +269,11 @@ def test_config_for_history_infers_bounds() -> None:
     c = config_for_history(h)
     assert (c.num_txns, c.num_addrs, c.num_vals) == (3, 5, 8)
     assert dtms2_accepts(h, c).ok
+    # dense renaming keeps value 0 and shrinks the bounds to the id counts
+    dense, c = compact_history(h + (H.inv_read(3, 9), H.res_read(3, 0)))
+    assert dense == (H.inv_begin(1), H.res_begin(1), H.inv_write(1, 0, 1),
+                     H.res_write(1), H.inv_read(1, 1), H.res_read(1, 0))
+    assert (c.num_txns, c.num_addrs, c.num_vals) == (1, 2, 2)
 
 
 # random walks ------------------------------------------------------------------

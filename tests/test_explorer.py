@@ -96,9 +96,8 @@ def test_canonical_hash_distinguishes_and_is_stable() -> None:
     m = DtmlMachine(DtmlConfig(2, 2, 2))
     s = m.initial()
     assert canonical_hash(s) == canonical_hash(m.initial())
-    from dataclasses import replace
     from durastm.nvm import MemoryPair
-    s2 = replace(s, mem=MemoryPair(s.mem.vstore, (1, 0)))
+    s2 = s._replace(mem=MemoryPair(s.mem.vstore, (1, 0)))
     assert canonical_hash(s) != canonical_hash(s2)
     # stability across processes: no address- or salt-dependent input
     code = ("from durastm.dtml import DtmlConfig, DtmlMachine\n"
@@ -107,6 +106,9 @@ def test_canonical_hash_distinguishes_and_is_stable() -> None:
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == canonical_hash(s)
+    # pinned literal: a change of state representation must not move it
+    assert canonical_hash(s) == (
+        "a7e909e0191c4a3177a6836ca5098c3beebd2c94f1274952855e62573eb83263")
 
 
 def test_acceptor_memo_size_changes_no_verdict_and_bounds_its_caches(

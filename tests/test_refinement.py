@@ -12,7 +12,6 @@ Three layers tie the implementation machine to the reference automaton:
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -43,9 +42,9 @@ def _concrete(glb=0, writer=None, writer_pc=None, vstore=(0, 0), pstore=(0, 0),
     if writer is not None and writer_pc is not None:
         pc[writer - 1] = writer_pc
     locs = list(s.loc) if loc is None else list(loc)
-    return replace(s, glb=glb, writer=writer, pc=tuple(pc), loc=tuple(locs),
-                   mem=MemoryPair(tuple(vstore), tuple(pstore)),
-                   log=UndoLog(tuple(sorted(log))), syst_pc=syst)
+    return s._replace(glb=glb, writer=writer, pc=tuple(pc), loc=tuple(locs),
+                      mem=MemoryPair(tuple(vstore), tuple(pstore)),
+                      log=UndoLog(tuple(sorted(log))), syst_pc=syst)
 
 
 def _abstract(mems=((0, 0),), pc=None, wr1=(), rd1=(), begin1=0):
@@ -53,10 +52,10 @@ def _abstract(mems=((0, 0),), pc=None, wr1=(), rd1=(), begin1=0):
     pcs = list(s.pc)
     if pc is not None:
         pcs = list(pc)
-    return replace(s, mems=tuple(map(tuple, mems)), pc=tuple(pcs),
-                   wr_set=(tuple(sorted(wr1)), ()),
-                   rd_set=(tuple(sorted(rd1)), ()),
-                   begin_idx=(begin1, 0))
+    return s._replace(mems=tuple(map(tuple, mems)), pc=tuple(pcs),
+                      wr_set=(tuple(sorted(wr1)), ()),
+                      rd_set=(tuple(sorted(rd1)), ()),
+                      begin_idx=(begin1, 0))
 
 
 # relation pieces ---------------------------------------------------------------
@@ -96,7 +95,7 @@ def test_global_rel_undo_log_restores_snapshot() -> None:
     a = _abstract(pc=("writeResp", "notStarted"), wr1=((0, 1),))
     assert global_rel_clause(cs, a) is None
     # with the log artificially emptied the snapshot cannot be recovered
-    cs_bad = replace(cs, log=UndoLog(()))
+    cs_bad = cs._replace(log=UndoLog(()))
     assert global_rel_clause(cs_bad, a) == "globalRel.3"
 
 
@@ -105,6 +104,23 @@ def test_global_rel_other_clause_tags() -> None:
     assert global_rel_clause(_concrete(glb=2), _abstract()) == "globalRel.2"
     a = _abstract(pc=("ready", "notStarted"))
     assert global_rel_clause(_concrete(), a) == "globalRel.4"
+    # a live writer at W7: volatile memory is the last snapshot with the
+    # writer's abstract write set applied
+    w7 = _concrete(glb=1, writer=1, writer_pc="W7", vstore=(1, 0),
+                   log=((0, 0),), loc=(1, 0))
+    pending = ("writeResp", "notStarted")
+    assert global_rel_clause(w7, _abstract(pc=pending, wr1=((0, 1),))) is None
+    assert global_rel_clause(w7, _abstract(pc=pending)) == "globalRel.1"
+    assert global_rel_clause(w7, _abstract(pc=pending, wr1=((1, 1),))) \
+        == "globalRel.1"
+    # a writer at E3 has committed: its writes are in the last snapshot and
+    # the counter is read one bump ahead, so two snapshots are expected
+    e3 = _concrete(glb=1, writer=1, writer_pc="E3", vstore=(1, 0), loc=(1, 0))
+    done = ("commitResp", "notStarted")
+    assert global_rel_clause(
+        e3, _abstract(mems=((0, 0), (1, 0)), pc=done, wr1=((0, 1),))) is None
+    assert global_rel_clause(
+        e3, _abstract(mems=((1, 0),), pc=done, wr1=((0, 1),))) == "globalRel.2"
 
 
 def test_txn_rel_pc_table_and_parity() -> None:
@@ -116,23 +132,23 @@ def test_txn_rel_pc_table_and_parity() -> None:
     assert txn_rel_clause(cs, wrong_pc, 1) == "txnRel.pc(t=1)"
     # an even location snapshot is incompatible with a populated write set
     cs_even = _concrete(glb=0, writer=None, writer_pc=None)
-    cs_even = replace(cs_even, pc=("Idle", "NotStarted"))
+    cs_even = cs_even._replace(pc=("Idle", "NotStarted"))
     claims = _abstract(pc=("ready", "notStarted"), wr1=((0, 1),))
     assert txn_rel_clause(cs_even, claims, 1) == "txnRel.writeSetParity(t=1)"
 
 
 def test_txn_rel_valid_idx_for_reader() -> None:
-    cs = replace(_concrete(), pc=("R2", "NotStarted"),
-                 in_addr=(0, None), in_val=(0, None))
+    cs = _concrete()._replace(pc=("R2", "NotStarted"),
+                              in_addr=(0, None), in_val=(0, None))
     ok = _abstract(pc=("readPending", "notStarted"), rd1=((0, 0),))
-    ok = replace(ok, cur_addr=(0, None))
+    ok = ok._replace(cur_addr=(0, None))
     assert txn_rel(cs, ok, 1)
     stale = _abstract(mems=((0, 0), (1, 0)), pc=("readPending", "notStarted"),
                       rd1=((0, 0),), begin1=1)
-    stale = replace(stale, cur_addr=(0, None))
+    stale = stale._replace(cur_addr=(0, None))
     # reader on the current version whose read set contradicts the
     # current snapshot
-    cs2 = replace(cs, glb=2, loc=(2, 0))
+    cs2 = cs._replace(glb=2, loc=(2, 0))
     assert txn_rel_clause(cs2, stale, 1) == "txnRel.validIdx(t=1)"
 
 
@@ -162,8 +178,12 @@ def test_forward_sim_empty_execution() -> None:
 def test_forward_sim_full_writer_rebases_snapshots() -> None:
     rep = check_forward_sim(CFG, FULL_WRITER)
     assert rep.ok and rep.soft_flag_count == 0
+    assert rep.steps_checked == len(FULL_WRITER)
     assert all(len(a.mems) == 2
                for a in rep.final_witness.abstract_candidates)
+    # a one-shot iterator is counted as it is consumed
+    assert check_forward_sim(CFG, iter(FULL_WRITER)).steps_checked \
+        == len(FULL_WRITER)
 
 
 def test_forward_sim_through_crash_and_recovery() -> None:
@@ -303,4 +323,10 @@ def test_trace_refinement_rejects_dirty_read() -> None:
         H.inv_commit(1), H.res_commit(1),
     )
     r = check_trace_refinement(h)
+    assert not r.ok and r.failed_at == 7
+    # renaming transactions, addresses and non-zero values keeps the verdict
+    # and the failing index
+    renamed = tuple(H.Event(e.ev, {1: 5, 2: 9}.get(e.tx), {0: 7}.get(e.addr),
+                            {1: 3}.get(e.val), e.abort) for e in h)
+    r = check_trace_refinement(renamed)
     assert not r.ok and r.failed_at == 7
