@@ -11,11 +11,18 @@ to the crash-erased history, after checking durable well-formedness.
 
 The search is exponential by design (it is the trusted oracle, not the
 implementation under test), so inputs are gated by size bounds.
+
+The second strategy, ``end_to_end_opaque_alt``, stays definitional: it
+tests each candidate arrangement with ``sequential``, that is with
+``legal_at``'s own per-index check at every index.  ``legal`` only avoids
+repeating work across indices: it checks the preconditions once and grows
+the committed set as it goes.
 """
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import Sequence
 
 from .histories import (
@@ -79,7 +86,11 @@ def _check_bounds(h: Sequence[Event], value_domain, bounds: OracleBounds | None)
     addrs = {e.addr for e in h if e.addr is not None}
     if len(addrs) > b.max_addrs:
         raise TooLargeError(f"more than {b.max_addrs} addresses")
-    if len(tuple(value_domain)) > b.max_vals:
+    if isinstance(value_domain, Sized):
+        nvals = len(value_domain)
+    else:  # count no further than the first value over the bound
+        nvals = sum(1 for _ in islice(value_domain, b.max_vals + 1))
+    if nvals > b.max_vals:
         raise TooLargeError(f"more than {b.max_vals} values")
 
 
@@ -116,6 +127,16 @@ def valid(h: Sequence[Event]) -> list[dict] | None:
     return states
 
 
+def _legal_at(hs: History, i: int, committed: set[int]) -> bool:
+    """Legality of hs at index i given the transactions committed in
+    hs[: i + 1]: the one definition that legal_at and legal share."""
+    cur = hs[i].tx
+    proj = [e for e in hs[: i + 1] if e.tx == cur or e.tx in committed]
+    if is_invocation(proj[-1]):  # hs[i] itself, whose tx is cur
+        proj.pop()
+    return valid(proj) is not None
+
+
 def legal_at(hs: Sequence[Event], i: int) -> bool:
     """Is hs legal at index i: project everything up to and including hs[i]
     onto committed transactions plus hs[i]'s own transaction and test
@@ -129,30 +150,42 @@ def legal_at(hs: Sequence[Event], i: int) -> bool:
         raise ValueError("legality is defined on non-interleaved histories")
     if not 0 <= i < len(hs):
         raise IndexError(i)
-    cur = hs[i].tx
     prefix = hs[: i + 1]
     committed = {t for t in txn_ids(prefix) if is_committed(prefix, t)}
-    proj = [e for e in prefix if e.tx == cur or e.tx in committed]
-    if proj and is_invocation(proj[-1]):
-        proj = proj[:-1]
-    return valid(tuple(proj)) is not None
+    return _legal_at(hs, i, committed)
+
+
+def _legal(hs: History) -> bool:
+    """legal_at at every index of a well-formed non-interleaved hs, with
+    the committed set grown at each successful commit response."""
+    committed: set[int] = set()
+    for i, e in enumerate(hs):
+        if rval(e) == "commit":
+            committed.add(e.tx)
+        if not _legal_at(hs, i, committed):
+            return False
+    return True
 
 
 def legal(hs: Sequence[Event]) -> bool:
+    """legal_at holds at every index of hs.
+
+    The preconditions (well-formed, so crash-free, and non-interleaved) are
+    checked once for the whole history, and the committed set is grown one
+    event at a time instead of being rebuilt from the prefix at each index.
+    """
     hs = tuple(hs)
     if not well_formed(hs):
         raise ValueError("legality is defined on well-formed histories")
-    return all(legal_at(hs, i) for i in range(len(hs)))
+    if not non_interleaved(hs):
+        raise ValueError("legality is defined on non-interleaved histories")
+    return _legal(hs)
 
 
 def sequential(hs: Sequence[Event]) -> bool:
     """Well-formed, non-interleaved and legal (crash-free input required)."""
     hs = tuple(hs)
-    if not well_formed(hs):
-        return False
-    if not non_interleaved(hs):
-        return False
-    return legal(hs)
+    return well_formed(hs) and non_interleaved(hs) and _legal(hs)
 
 
 def _replay_block(blk: History, sigma: dict) -> dict | None:

@@ -159,6 +159,23 @@ def test_check_refinement_cost_follows_id_count_not_size(tmp_path,
     assert codes == [0, 0]
 
 
+def test_check_history_cost_follows_value_count_not_size(tmp_path,
+                                                         capsys) -> None:
+    # values are renamed densely before the oracle runs, so a dirty read of
+    # value 1,000,000 is checked against the same small domain as value 1
+    # and fails at the same prefix
+    codes, outs = [], []
+    for val in (1, 1_000_000):
+        p = tmp_path / f"read{val}.jsonl"
+        write_trace((H.inv_begin(1), H.res_begin(1), H.inv_read(1, 0),
+                     H.res_read(1, val)), str(p))
+        codes.append(main(["check-history", "--in", str(p)]))
+        outs.append(capsys.readouterr().out)
+    assert codes == [1, 1]
+    assert "(failing prefix: 4)" in outs[0]
+    assert outs[0] == outs[1]
+
+
 def test_walk_dtms2_clean(capsys) -> None:
     rc = main(["walk-dtms2", "--walks", "30", "--seed", "3",
                "--max-steps", "25", "--max-crashes", "2",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from durastm import histories as H
+from durastm import opacity
 from durastm.opacity import (
     TooLargeError,
     durably_opaque,
@@ -112,9 +113,48 @@ def test_legal_at_invocation_index_strips_trailing_invocation() -> None:
 
 def test_legal_rejects_interleaved_input() -> None:
     h = (H.inv_begin(1), H.inv_begin(2), H.res_begin(1), H.res_begin(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-interleaved"):
         legal(h)
+    with pytest.raises(ValueError, match="non-interleaved"):
+        legal_at(h, 0)
     assert not sequential(h)
+
+
+def test_legal_rejects_ill_formed_and_crash_input() -> None:
+    ill = (H.inv_begin(1), H.res_begin(1), H.res_begin(1))
+    with pytest.raises(ValueError, match="well-formed"):
+        legal(ill)
+    assert not sequential(ill)
+    crashed = block(1) + (H.CRASH,)
+    with pytest.raises(ValueError, match="crash-free"):
+        legal(crashed)
+    with pytest.raises(ValueError, match="crash-free"):
+        sequential(crashed)
+    with pytest.raises(ValueError, match="crash-free"):
+        legal_at(crashed, 0)
+
+
+def test_legal_agrees_with_legal_at_every_index(monkeypatch) -> None:
+    # every block concatenation the alternative strategy tests, each judged
+    # by legal and sequential and by the definitional per-index loop
+    tested: set[H.History] = set()
+    real = opacity.sequential
+
+    def record(hs):
+        tested.add(hs)
+        return real(hs)
+
+    monkeypatch.setattr(opacity, "sequential", record)
+    for h in H.enumerate_histories(2, 2, 2, max_events=6, max_crashes=1):
+        end_to_end_opaque_alt(H.ops(h), V01)
+    monkeypatch.undo()
+    verdicts = set()
+    for hs in tested:
+        ref = all(legal_at(hs, i) for i in range(len(hs)))
+        assert legal(hs) == ref, hs
+        assert sequential(hs) == ref, hs
+        verdicts.add(ref)
+    assert verdicts == {True, False}
 
 
 # end-to-end opacity ----------------------------------------------------------
@@ -271,6 +311,16 @@ def test_oracle_refuses_too_many_transactions() -> None:
 def test_oracle_refuses_too_many_values() -> None:
     with pytest.raises(TooLargeError):
         opaque((), (0, 1, 2, 3))
+    # sized without being built: a tuple of 10**9 values would not fit
+    with pytest.raises(TooLargeError, match="more than 3 values"):
+        end_to_end_opaque((), range(10**9))
+
+    def unsized():  # counted no further than one value past the bound
+        yield from range(4)
+        raise AssertionError("counted past the bound")
+
+    with pytest.raises(TooLargeError, match="more than 3 values"):
+        end_to_end_opaque((), unsized())
 
 
 # strategy agreement -----------------------------------------------------------
