@@ -8,10 +8,10 @@ Run:  python3 demos/01_logging_machine_tour.py
 """
 import json
 
-from durastm.dtml import DtmlConfig, DtmlMachine, act
-from durastm.histories import event_to_json
+from durastm.dtml import DtmlMachine, act
+from durastm.histories import Domain, event_to_json
 
-machine = DtmlMachine(DtmlConfig(num_txns=1, num_addrs=2, num_vals=2))
+machine = DtmlMachine(Domain(num_txns=1, num_addrs=2, num_vals=2))
 state = machine.initial()
 
 schedule = [

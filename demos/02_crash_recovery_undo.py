@@ -8,7 +8,8 @@ survives the crash.
 
 Run:  python3 demos/02_crash_recovery_undo.py
 """
-from durastm.dtml import DtmlConfig, DtmlMachine, act
+from durastm.dtml import DtmlMachine, act
+from durastm.histories import Domain
 
 PRELUDE = [
     act("invBegin", 1), act("B1", 1), act("B2", 1), act("resBegin", 1),
@@ -17,7 +18,7 @@ PRELUDE = [
 
 
 def run(mutation):
-    machine = DtmlMachine(DtmlConfig(1, 1, 2), mutation=mutation)
+    machine = DtmlMachine(Domain(1, 1, 2), mutation=mutation)
     s = machine.initial()
     for a in PRELUDE:
         s, _ = machine.step(s, a)

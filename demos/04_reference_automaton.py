@@ -11,10 +11,10 @@ Run:  python3 demos/04_reference_automaton.py
 import random
 
 from durastm import histories as H
-from durastm.dtms2 import Dtms2Config, dtms2_accepts, dtms2_random_walk
+from durastm.dtms2 import dtms2_accepts, dtms2_random_walk
 from durastm.refinement import check_weak_sim
 
-config = Dtms2Config(num_txns=2, num_addrs=2, num_vals=2)
+domain = H.Domain(num_txns=2, num_addrs=2, num_vals=2)
 
 good = (
     H.inv_begin(1), H.res_begin(1),
@@ -28,7 +28,7 @@ bad = good[:-1] + (H.res_read(2, 0),)     # ... so reading 0 is impossible
 
 for name, h in (("post-crash read of committed value", good),
                 ("post-crash read of the OLD value", bad)):
-    r = dtms2_accepts(h, config)
+    r = dtms2_accepts(h, domain)
     print(f"{name}: {'accepted' if r.ok else 'rejected'}"
           + ("" if r.ok else f" (first impossible event: index {r.failed_at})"))
 
@@ -36,10 +36,10 @@ print("\n30 seeded walks with up to 2 crashes, each mirrored crash-free:")
 rng = random.Random(7)
 crashes = mirrored = 0
 for _ in range(30):
-    history, schedule = dtms2_random_walk(config, rng, max_steps=30,
+    history, schedule = dtms2_random_walk(domain, rng, max_steps=30,
                                           max_crashes=2)
     crashes += sum(1 for e in history if H.is_crash(e))
-    report = check_weak_sim(config, schedule)
+    report = check_weak_sim(domain, schedule)
     assert report.ok, report.reason
     assert report.target_history == H.ops(history)
     mirrored += 1

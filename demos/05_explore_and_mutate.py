@@ -14,7 +14,7 @@ from durastm import histories as H
 from durastm.explorer import (ExplorationConfig, explore_exhaustive,
                               explore_random)
 
-sweep = ExplorationConfig(num_txns=2, num_addrs=1, num_vals=2,
+sweep = ExplorationConfig(domain=H.Domain(2, 1, 2),
                           max_crashes=1, flush_budget=1, max_steps=24,
                           checks=("opacity", "refinement", "simrel",
                                   "invariants"))
@@ -24,9 +24,9 @@ print(f"clean machine, exhaustive to {sweep.max_steps} steps: "
       f"{report.states_visited} states, "
       f"{len(report.violations)} violations")
 
-hunt = ExplorationConfig(num_txns=2, num_addrs=2, num_vals=2,
+hunt = ExplorationConfig(domain=H.Domain(2, 2, 2),
                          max_crashes=1, flush_budget=1, max_steps=60,
-                         mode="random", seed=7, num_walks=1000,
+                         seed=7, num_walks=1000,
                          min_crashes=1, continue_prob=0.85,
                          crash_prob=0.02,
                          checks=("opacity", "refinement"),

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from . import histories as H
 from .dtml import MUTATIONS
-from .dtms2 import Dtms2Config, compact_history, dtms2_accepts
+from .dtms2 import compact_history, dtms2_accepts
 from .explorer import (CheckReport, ExplorationConfig, Violation,
                        explore_exhaustive, explore_random, walk_reference)
 from .opacity import OracleBounds, TooLargeError, durably_opaque
@@ -127,18 +127,19 @@ def _checks_arg(text: str) -> tuple[str, ...]:
     return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
-def _config_from(args: argparse.Namespace, mode: str) -> ExplorationConfig:
+def _domain_from(args: argparse.Namespace) -> H.Domain:
+    return H.Domain(args.txns, args.addrs, args.vals)
+
+
+def _config_from(args: argparse.Namespace) -> ExplorationConfig:
     return ExplorationConfig(
-        num_txns=args.txns,
-        num_addrs=args.addrs,
-        num_vals=args.vals,
+        domain=_domain_from(args),
         max_crashes=args.max_crashes,
         flush_budget=args.flush_budget,
         max_steps=args.max_steps,
         seed=args.seed,
         checks=args.checks,
         mutation=args.mutation,
-        mode=mode,
         num_walks=getattr(args, "walks", 1000),
         min_crashes=getattr(args, "min_crashes", 0),
         continue_prob=getattr(args, "continue_prob", 0.0),
@@ -150,40 +151,38 @@ def _config_from(args: argparse.Namespace, mode: str) -> ExplorationConfig:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, "exhaustive")
+    cfg = _config_from(args)
     report = explore_exhaustive(cfg, stop_on=set(cfg.checks))
     return _finish_run(report, cfg.checks, args.out, args.report)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, "random")
+    cfg = _config_from(args)
     report = explore_random(cfg, stop_on=set(cfg.checks))
     return _finish_run(report, cfg.checks, args.out, args.report)
 
 
 def _cmd_walk_dtms2(args: argparse.Namespace) -> int:
     cfg = ExplorationConfig(
-        num_txns=args.txns, num_addrs=args.addrs, num_vals=args.vals,
+        domain=_domain_from(args),
         max_crashes=args.max_crashes, max_steps=args.max_steps,
-        seed=args.seed, checks=args.checks, mode="random",
+        seed=args.seed, checks=args.checks,
         num_walks=args.walks, force=args.force)
     report = walk_reference(cfg, stop_on=set(cfg.checks))
     return _finish_run(report, cfg.checks, args.out, args.report)
 
 
-def _infer_value_domain(h: H.History, vals: int | None) -> range:
-    observed = max((e.val for e in h if e.val is not None), default=-1)
-    return range(max(vals if vals is not None else 2, observed + 1))
-
-
 def _cmd_check_history(args: argparse.Namespace) -> int:
-    h, _ = compact_history(read_trace(getattr(args, "in")))
-    domain = _infer_value_domain(h, args.vals)
-    verdict = durably_opaque(h, domain, bounds=OracleBounds(
-        max_txns=max(4, len(H.txn_ids(h))),
-        max_addrs=max(3, len({e.addr for e in h if e.addr is not None})),
-        max_vals=max(3, len(domain))))
-    print(f"{len(h)} events, value domain of {len(domain)} values")
+    h, domain = compact_history(read_trace(getattr(args, "in")))
+    # 0 and the values the compacted trace names: any other value could
+    # only answer a pending read, which would then read a value nobody
+    # wrote, so a larger value domain never changes the verdict
+    values = range(domain.num_vals)
+    verdict = durably_opaque(h, values, bounds=OracleBounds(
+        max_txns=max(4, domain.num_txns),
+        max_addrs=max(3, domain.num_addrs),
+        max_vals=max(3, domain.num_vals)))
+    print(f"{len(h)} events, value domain of {len(values)} values")
     if verdict.ok:
         print(f"durable opacity: {_status(True)}")
         return 0
@@ -193,10 +192,10 @@ def _cmd_check_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_refinement(args: argparse.Namespace) -> int:
-    h, config = compact_history(read_trace(getattr(args, "in")))
-    result = dtms2_accepts(h, config, durable=True)
-    print(f"{len(h)} events against bounds txns={config.num_txns} "
-          f"addrs={config.num_addrs} vals={config.num_vals}")
+    h, domain = compact_history(read_trace(getattr(args, "in")))
+    result = dtms2_accepts(h, domain, durable=True)
+    print(f"{len(h)} events against bounds txns={domain.num_txns} "
+          f"addrs={domain.num_addrs} vals={domain.num_vals}")
     if result.ok:
         print(f"reference-automaton acceptance: {_status(True)}")
         return 0
@@ -208,13 +207,13 @@ def _cmd_check_refinement(args: argparse.Namespace) -> int:
 def _cmd_mutate(args: argparse.Namespace) -> int:
     wanted = ("opacity", "refinement")
     names = (args.mutation,) if args.mutation else MUTATIONS
+    domain = _domain_from(args)
     escaped = []
     for name in names:
         cfg = ExplorationConfig(
-            num_txns=args.txns, num_addrs=args.addrs, num_vals=args.vals,
-            max_crashes=max(1, args.max_crashes),
+            domain=domain, max_crashes=max(1, args.max_crashes),
             flush_budget=args.flush_budget, max_steps=args.max_steps,
-            seed=args.seed, checks=wanted, mutation=name, mode="random",
+            seed=args.seed, checks=wanted, mutation=name,
             num_walks=args.walks, min_crashes=1, continue_prob=0.85,
             crash_prob=0.02, force=args.force)
         report = explore_random(cfg, stop_on=set(wanted))
@@ -318,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="durable opacity of one JSONL trace")
     ch.add_argument("--in", required=True, metavar="PATH",
                     help="JSONL trace to check")
-    ch.add_argument("--vals", type=int, default=None,
-                    help="value-domain size (default: inferred, at least 2)")
     ch.set_defaults(func=_cmd_check_history)
 
     cr = sub.add_parser("check-refinement",

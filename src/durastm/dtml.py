@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 from .histories import (
     CRASH,
+    Domain,
     Event,
     History,
     inv_begin,
@@ -48,23 +49,6 @@ from .nvm import MemoryPair, UndoLog
 MUTATIONS = ("skip_flush_W7", "skip_undo_log", "skip_log_clear_E2")
 
 _RECOVERY_STEPS = frozenset({"C1", "C2", "C3", "C4", "C5", "C6"})
-
-
-@dataclass(frozen=True)
-class DtmlConfig:
-    """Bounds of the modelled system.
-
-    Transactions are identified 1..num_txns (0 names the system/recovery
-    actor in histories), addresses 0..num_addrs-1, values 0..num_vals-1.
-    """
-
-    num_txns: int = 2
-    num_addrs: int = 2
-    num_vals: int = 2
-
-    def __post_init__(self) -> None:
-        if self.num_txns < 1 or self.num_addrs < 1 or self.num_vals < 1:
-            raise ValueError("all bounds must be at least 1")
 
 
 @dataclass(frozen=True, order=True)
@@ -117,20 +101,20 @@ class DtmlState(NamedTuple):
 class DtmlMachine:
     """Transition relation of the algorithm, optionally with one mutation."""
 
-    def __init__(self, config: DtmlConfig, mutation: str | None = None):
+    def __init__(self, domain: Domain, mutation: str | None = None):
         if mutation is not None and mutation not in MUTATIONS:
             raise ValueError(
                 f"unknown mutation {mutation!r}; expected one of {MUTATIONS}")
-        self.config = config
+        self.domain = domain
         self.mutation = mutation
 
     # -- state construction ----------------------------------------------
 
     def initial(self) -> DtmlState:
-        n = self.config.num_txns
+        n = self.domain.num_txns
         return DtmlState(
             glb=0,
-            mem=MemoryPair.initial(self.config.num_addrs),
+            mem=MemoryPair.initial(self.domain.num_addrs),
             log=UndoLog.empty(),
             pc=("NotStarted",) * n,
             loc=(0,) * n,
@@ -146,10 +130,10 @@ class DtmlMachine:
 
     def enabled(self, s: DtmlState) -> list[DtmlAction]:
         out: list[DtmlAction] = []
-        for t in range(1, self.config.num_txns + 1):
+        for t in range(1, self.domain.num_txns + 1):
             out.extend(self._enabled_for(s, t))
         out.extend(self._enabled_recovery(s))
-        for a in range(self.config.num_addrs):
+        for a in range(self.domain.num_addrs):
             out.append(act("flush", addr=a))
         out.append(act("crash"))
         return out
@@ -168,10 +152,10 @@ class DtmlMachine:
             return [act("resBegin", t)]
         if pc == "Idle":
             outs = [act("invRead", t, addr=a)
-                    for a in range(self.config.num_addrs)]
+                    for a in range(self.domain.num_addrs)]
             outs += [act("invWrite", t, addr=a, val=v)
-                     for a in range(self.config.num_addrs)
-                     for v in range(self.config.num_vals)]
+                     for a in range(self.domain.num_addrs)
+                     for v in range(self.domain.num_vals)]
             outs.append(act("invCommit", t))
             return outs
         if pc == "R2":
@@ -200,7 +184,7 @@ class DtmlMachine:
         if a.kind == "crash":
             return True
         if a.kind == "flush":
-            return a.addr is not None and 0 <= a.addr < self.config.num_addrs
+            return a.addr is not None and 0 <= a.addr < self.domain.num_addrs
         if a.kind in _RECOVERY_STEPS:
             if a.kind != s.syst_pc:
                 return False
@@ -208,7 +192,7 @@ class DtmlMachine:
                 return (a.addr, a.val) in s.log.items()
             return True
         t = a.tx
-        if t is None or not 1 <= t <= self.config.num_txns:
+        if t is None or not 1 <= t <= self.domain.num_txns:
             return False
         return a in self._enabled_for(s, t)
 

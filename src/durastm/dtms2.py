@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 from .histories import (
     CRASH,
+    Domain,
     Event,
     History,
     inv_begin,
@@ -60,15 +61,9 @@ _PENDING_PCS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Dtms2Config:
-    num_txns: int = 2
-    num_addrs: int = 2
-    num_vals: int = 2
-
-    def __post_init__(self) -> None:
-        if self.num_txns < 1 or self.num_addrs < 1 or self.num_vals < 1:
-            raise ValueError("all bounds must be at least 1")
+# the benchmark's workloads (bench/workloads.py) build their domain under
+# this older name
+Dtms2Config = Domain
 
 
 @dataclass(frozen=True, order=True)
@@ -136,14 +131,14 @@ class Dtms2State(NamedTuple):
 
 
 class Dtms2Machine:
-    def __init__(self, config: Dtms2Config, durable: bool = True):
-        self.config = config
+    def __init__(self, domain: Domain, durable: bool = True):
+        self.domain = domain
         self.durable = durable
 
     def initial(self) -> Dtms2State:
-        n = self.config.num_txns
+        n = self.domain.num_txns
         return Dtms2State(
-            mems=((0,) * self.config.num_addrs,),
+            mems=((0,) * self.domain.num_addrs,),
             pc=("notStarted",) * n,
             begin_idx=(0,) * n,
             rd_set=((),) * n,
@@ -161,7 +156,7 @@ class Dtms2Machine:
 
     def enabled(self, s: Dtms2State) -> list[Dtms2Action]:
         out: list[Dtms2Action] = []
-        for t in range(1, self.config.num_txns + 1):
+        for t in range(1, self.domain.num_txns + 1):
             out.extend(self._enabled_for(s, t))
         if self.durable:
             out.append(mact("crash"))
@@ -177,10 +172,10 @@ class Dtms2Machine:
             return [mact("resBegin", t)]
         if pc == "ready":
             out = [mact("invRead", t, addr=a)
-                   for a in range(self.config.num_addrs)]
+                   for a in range(self.domain.num_addrs)]
             out += [mact("invWrite", t, addr=a, val=v)
-                    for a in range(self.config.num_addrs)
-                    for v in range(self.config.num_vals)]
+                    for a in range(self.domain.num_addrs)
+                    for v in range(self.domain.num_vals)]
             out.append(mact("invCommit", t))
             return out
         if pc == "readPending":
@@ -216,14 +211,14 @@ class Dtms2Machine:
             if not self.durable:
                 raise ValueError("crash is not part of the non-durable automaton")
             return self._apply_crash(s), CRASH
-        if a.tx is None or not 1 <= a.tx <= self.config.num_txns:
+        if a.tx is None or not 1 <= a.tx <= self.domain.num_txns:
             raise ValueError(f"action {a} names no valid transaction")
         if a not in self._enabled_for(s, a.tx):
             raise ValueError(f"action {a} is not enabled")
         return self._apply_txn(s, a)
 
     def _apply_crash(self, s: Dtms2State) -> Dtms2State:
-        n = self.config.num_txns
+        n = self.domain.num_txns
         pcs = tuple(pc if pc in ("notStarted", "committed") else "aborted"
                     for pc in s.pc)
         return Dtms2State(
@@ -338,7 +333,7 @@ def _matching_actions(m: Dtms2Machine, s: Dtms2State, e: Event) -> list[Dtms2Act
     if e.ev == "crash":
         return [mact("crash")] if m.durable else []
     t = e.tx
-    if t is None or not 1 <= t <= m.config.num_txns:
+    if t is None or not 1 <= t <= m.domain.num_txns:
         return []
     i = t - 1
     pc = s.pc[i]
@@ -348,7 +343,7 @@ def _matching_actions(m: Dtms2Machine, s: Dtms2State, e: Event) -> list[Dtms2Act
     if ev == "resBegin":
         return [mact("resBegin", t)] if pc == "beginPending" else []
     if ev == "invRead":
-        if pc == "ready" and 0 <= e.addr < m.config.num_addrs:
+        if pc == "ready" and 0 <= e.addr < m.domain.num_addrs:
             return [mact("invRead", t, addr=e.addr)]
         return []
     if ev == "resRead":
@@ -358,8 +353,8 @@ def _matching_actions(m: Dtms2Machine, s: Dtms2State, e: Event) -> list[Dtms2Act
             return [mact("resRead", t)]
         return []
     if ev == "invWrite":
-        if (pc == "ready" and 0 <= e.addr < m.config.num_addrs
-                and 0 <= e.val < m.config.num_vals):
+        if (pc == "ready" and 0 <= e.addr < m.domain.num_addrs
+                and 0 <= e.val < m.domain.num_vals):
             return [mact("invWrite", t, addr=e.addr, val=e.val)]
         return []
     if ev == "resWrite":
@@ -424,7 +419,7 @@ class Acceptor:
         return frozenset({self.machine.initial()})
 
 
-def dtms2_accepts(h: History, config: Dtms2Config,
+def dtms2_accepts(h: History, domain: Domain,
                   durable: bool = True) -> AcceptResult:
     """Decide whether the automaton can produce the given event sequence.
 
@@ -432,7 +427,7 @@ def dtms2_accepts(h: History, config: Dtms2Config,
     events seen so far, closing over internal transitions before each
     event.  Rejection reports the index of the first impossible event.
     """
-    acceptor = Acceptor(Dtms2Machine(config, durable=durable))
+    acceptor = Acceptor(Dtms2Machine(domain, durable=durable))
     frame = acceptor.initial()
     for index, e in enumerate(h):
         frame = acceptor.advance(frame, e)
@@ -441,7 +436,7 @@ def dtms2_accepts(h: History, config: Dtms2Config,
     return AcceptResult(True)
 
 
-def config_for_history(h: History) -> Dtms2Config:
+def config_for_history(h: History) -> Domain:
     """Smallest bounds that cover every id, address and value in a history."""
     txns, addrs, vals = 1, 1, 1
     for e in h:
@@ -451,10 +446,10 @@ def config_for_history(h: History) -> Dtms2Config:
             addrs = max(addrs, e.addr + 1)
         if e.val is not None:
             vals = max(vals, e.val + 1)
-    return Dtms2Config(txns, addrs, vals)
+    return Domain(txns, addrs, vals)
 
 
-def compact_history(h: History) -> tuple[History, Dtms2Config]:
+def compact_history(h: History) -> tuple[History, Domain]:
     """The history with dense ids, and the smallest bounds that cover it.
 
     Transactions are renamed to 1..n, addresses to 0..m-1 and non-zero
@@ -477,12 +472,12 @@ def compact_history(h: History) -> tuple[History, Dtms2Config]:
     return out, config_for_history(out)
 
 
-def dtms2_random_walk(config: Dtms2Config, rng, max_steps: int,
+def dtms2_random_walk(domain: Domain, rng, max_steps: int,
                       max_crashes: int = 0,
                       durable: bool = True) -> tuple[History, tuple[Dtms2Action, ...]]:
     """Uniform random walk through the automaton; returns the emitted
     history and the action schedule that produced it."""
-    m = Dtms2Machine(config, durable=durable)
+    m = Dtms2Machine(domain, durable=durable)
     s = m.initial()
     crashes = 0
     events: list[Event] = []

@@ -23,14 +23,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import histories as H
-from .dtml import MUTATIONS, DtmlAction, DtmlConfig, DtmlMachine, DtmlState
-from .dtms2 import (
-    Acceptor,
-    Dtms2Config,
-    Dtms2Machine,
-    dtms2_accepts,
-    dtms2_random_walk,
-)
+from .dtml import MUTATIONS, DtmlAction, DtmlMachine, DtmlState
+from .dtms2 import Acceptor, Dtms2Machine, dtms2_accepts, dtms2_random_walk
 from .opacity import durably_opaque, end_to_end_opaque
 from .refinement import check_weak_sim, sim_step
 
@@ -50,6 +44,10 @@ _MACHINE_CHECKS = frozenset({"opacity", "refinement", "simrel", "invariants"})
 _REFERENCE_CHECKS = frozenset({"opacity", "refinement", "weaksim"})
 _ALL_CHECKS = _MACHINE_CHECKS | _REFERENCE_CHECKS
 
+# times a begin may re-read an odd (claimed) counter on one path; the spin
+# at B2 is otherwise unbounded
+MAX_BEGIN_RETRIES = 2
+
 # when a walk must still crash, do so while enough steps remain for
 # recovery plus one observer transaction, or the crash can prove nothing
 _FORCED_CRASH_RESERVE = 16
@@ -67,14 +65,10 @@ _UNCLAIMED_PCS = frozenset(
 class ExplorationConfig:
     """Bounds, budgets, and check selection for one exploration run."""
 
-    num_txns: int = 2
-    num_addrs: int = 2
-    num_vals: int = 2
+    domain: H.Domain = H.Domain()
     max_crashes: int = 1
     flush_budget: int = 1
     max_steps: int = 60
-    max_begin_retries: int = 2
-    mode: str = "exhaustive"
     seed: int = 0
     checks: tuple[str, ...] = ("opacity", "refinement")
     mutation: str | None = None
@@ -116,10 +110,8 @@ class ExplorationConfig:
         if self.mutation is not None and self.mutation not in MUTATIONS:
             raise ValueError(
                 f"unknown mutation {self.mutation!r}; one of {MUTATIONS}")
-        if min(self.num_txns, self.num_addrs, self.num_vals) < 1:
-            raise ValueError("domain sizes must be at least 1")
         if min(self.max_crashes, self.flush_budget, self.max_steps,
-               self.max_begin_retries, self.num_walks) < 0:
+               self.num_walks) < 0:
             raise ValueError("budgets must be non-negative")
         if not 0 <= self.min_crashes <= self.max_crashes:
             raise ValueError("min_crashes must lie within the crash budget")
@@ -132,12 +124,11 @@ class ExplorationConfig:
                     or not 0.0 <= p <= 1.0):
                 raise ValueError(
                     f"{name} must be a number in [0, 1], got {p!r}")
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.dedup not in ("auto", "state", "context"):
             raise ValueError(f"unknown dedup policy {self.dedup!r}")
+        d = self.domain
         if exhaustive and not self.force and (
-                self.num_txns > 3 or self.num_addrs > 2 or self.num_vals > 2):
+                d.num_txns > 3 or d.num_addrs > 2 or d.num_vals > 2):
             raise ValueError(
                 "exhaustive exploration beyond 3 transactions / 2 addresses"
                 " / 2 values explodes; pass force=True to override")
@@ -269,14 +260,11 @@ class _Pipeline:
     def __init__(self, cfg: ExplorationConfig) -> None:
         self.cfg = cfg
         self.checks = cfg.check_set
-        self.machine = DtmlMachine(
-            DtmlConfig(cfg.num_txns, cfg.num_addrs, cfg.num_vals),
-            mutation=cfg.mutation)
+        self.machine = DtmlMachine(cfg.domain, mutation=cfg.mutation)
         self.acceptor = None
         if self.checks & {"refinement", "simrel"}:
-            self.acceptor = Acceptor(Dtms2Machine(
-                Dtms2Config(cfg.num_txns, cfg.num_addrs, cfg.num_vals)))
-        self.value_domain = range(cfg.num_vals)
+            self.acceptor = Acceptor(Dtms2Machine(cfg.domain))
+        self.value_domain = range(cfg.domain.num_vals)
 
     def initial_frames(self) -> tuple[frozenset | None, frozenset | None,
                                       frozenset, tuple]:
@@ -286,7 +274,8 @@ class _Pipeline:
             aset_tr = self.acceptor.initial()
         if "simrel" in self.checks:
             aset_sim = self.acceptor.initial()
-        return aset_tr, aset_sim, frozenset(), H.wf_start(self.cfg.num_txns)
+        return (aset_tr, aset_sim, frozenset(),
+                H.wf_start(self.cfg.domain.num_txns))
 
     def check_edge(self, a: DtmlAction, s: DtmlState, s2: DtmlState,
                    ev: H.Event | None, events: list[H.Event],
@@ -354,6 +343,45 @@ def _stop_satisfied(stop_on, report: CheckReport) -> bool:
     return set(stop_on) <= seen
 
 
+# -- per-path budgets ----------------------------------------------------------
+# A path's budgets are (crashes, flushes, retries): how many crashes and
+# background flushes it took, and per transaction how often a begin re-read
+# an odd (claimed) counter at B2.  Both machine drivers filter actions with
+# _allowed and charge them with _spend.
+
+_Budgets = tuple[int, int, tuple[int, ...]]
+
+
+def _allowed(cfg: ExplorationConfig, s: DtmlState, acts: list[DtmlAction],
+             budgets: _Budgets) -> list[DtmlAction]:
+    """The actions of ``acts``, in order, that a path which has spent
+    ``budgets`` may take next."""
+    crashes, flushes, retries = budgets
+    return [a for a in acts
+            if (a.kind != "crash" or crashes < cfg.max_crashes)
+            and (a.kind != "flush" or flushes < cfg.flush_budget)
+            and (a.kind != "B2" or s.loc[a.tx - 1] % 2 == 0
+                 or retries[a.tx - 1] < MAX_BEGIN_RETRIES)]
+
+
+def _spend(s: DtmlState, a: DtmlAction, budgets: _Budgets) -> _Budgets:
+    """The budgets spent once the path takes ``a`` in state ``s``."""
+    crashes, flushes, retries = budgets
+    if a.kind == "crash":
+        return crashes + 1, flushes, retries
+    if a.kind == "flush":
+        return crashes, flushes + 1, retries
+    if a.kind == "B2" and s.loc[a.tx - 1] % 2 == 1:
+        i = a.tx - 1
+        return (crashes, flushes,
+                retries[:i] + (retries[i] + 1,) + retries[i + 1:])
+    return budgets
+
+
+def _no_budget_spent(cfg: ExplorationConfig) -> _Budgets:
+    return 0, 0, (0,) * cfg.domain.num_txns
+
+
 # -- exhaustive mode -----------------------------------------------------------
 
 
@@ -382,23 +410,13 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
         if on_history is not None:
             on_history(tuple(events))
 
-    def allowed(s: DtmlState, a: DtmlAction, crashes: int, flushes: int,
-                retries: tuple[int, ...]) -> bool:
-        if a.kind == "crash":
-            return crashes < cfg.max_crashes
-        if a.kind == "flush":
-            return flushes < cfg.flush_budget
-        if a.kind == "B2" and s.loc[a.tx - 1] % 2 == 1:
-            return retries[a.tx - 1] < cfg.max_begin_retries
-        return True
-
-    def dfs(s: DtmlState, depth: int, crashes: int, flushes: int,
-            retries: tuple[int, ...], aset_tr, aset_sim, dirty, wf) -> None:
+    def dfs(s: DtmlState, depth: int, budgets: _Budgets, aset_tr, aset_sim,
+            dirty, wf) -> None:
         nonlocal stopped
         if stopped:
             return
         if context_dedup:
-            context = (crashes, flushes, retries, aset_tr, aset_sim, dirty)
+            context = (budgets, aset_tr, aset_sim, dirty)
         else:
             context = ()
         # dominance rule: cut only when this state was already expanded
@@ -418,19 +436,10 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
         if depth >= cfg.max_steps:
             finish_path()
             return
-        progressed = False
-        for a in machine.enabled(s):
+        acts = _allowed(cfg, s, machine.enabled(s), budgets)
+        for a in acts:
             if stopped:
                 break
-            if not allowed(s, a, crashes, flushes, retries):
-                continue
-            progressed = True
-            crashes2 = crashes + (a.kind == "crash")
-            flushes2 = flushes + (a.kind == "flush")
-            retries2 = retries
-            if a.kind == "B2" and s.loc[a.tx - 1] % 2 == 1:
-                i = a.tx - 1
-                retries2 = retries[:i] + (retries[i] + 1,) + retries[i + 1:]
             s2, ev = machine.step(s, a)
             if ev is not None:
                 events.append(ev)
@@ -443,15 +452,14 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
                 if _stop_satisfied(stop_on, report):
                     stopped = True
             else:
-                dfs(s2, depth + 1, crashes2, flushes2, retries2,
+                dfs(s2, depth + 1, _spend(s, a, budgets),
                     aset_tr2, aset_sim2, dirty2, wf2)
             if ev is not None:
                 events.pop()
-        if not progressed:
+        if not acts:
             finish_path()
 
-    dfs(machine.initial(), 0, 0, 0, (0,) * cfg.num_txns,
-        *pipe.initial_frames())
+    dfs(machine.initial(), 0, _no_budget_spent(cfg), *pipe.initial_frames())
     report.states_visited = len(visited)
     report.elapsed = time.perf_counter() - start
     return report
@@ -529,22 +537,14 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
         seen.add(s)
         aset_tr, aset_sim, dirty, wf = pipe.initial_frames()
         events: list[H.Event] = []
-        crashes = flushes = 0
-        retries = [0] * cfg.num_txns
+        budgets = _no_budget_spent(cfg)
         for step_no in range(cfg.max_steps):
-            acts = [a for a in machine.enabled(s)
-                    if (a.kind != "crash" or crashes < cfg.max_crashes)
-                    and (a.kind != "flush" or flushes < cfg.flush_budget)
-                    and (a.kind != "B2" or s.loc[a.tx - 1] % 2 == 0
-                         or retries[a.tx - 1] < cfg.max_begin_retries)]
+            acts = _allowed(cfg, s, machine.enabled(s), budgets)
             if not acts:
                 break
-            a = _pick_action(rng, cfg, acts, s, crashes,
+            a = _pick_action(rng, cfg, acts, s, budgets[0],
                              cfg.max_steps - step_no)
-            crashes += a.kind == "crash"
-            flushes += a.kind == "flush"
-            if a.kind == "B2" and s.loc[a.tx - 1] % 2 == 1:
-                retries[a.tx - 1] += 1
+            budgets = _spend(s, a, budgets)
             s2, ev = machine.step(s, a)
             if ev is not None:
                 events.append(ev)
@@ -579,29 +579,28 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
     crash-free automaton to confirm the crash steps can be erased.
     """
     cfg.validate(_REFERENCE_CHECKS)
-    config = Dtms2Config(cfg.num_txns, cfg.num_addrs, cfg.num_vals)
     report = CheckReport()
     rng = random.Random(cfg.seed)
     start = time.perf_counter()
 
     for walk_no in range(cfg.num_walks):
         h, schedule = dtms2_random_walk(
-            config, rng, cfg.max_steps, max_crashes=cfg.max_crashes)
+            cfg.domain, rng, cfg.max_steps, max_crashes=cfg.max_crashes)
         report.states_visited += len(schedule)
         if "opacity" in cfg.check_set:
-            verdict = durably_opaque(h, range(cfg.num_vals))
+            verdict = durably_opaque(h, range(cfg.domain.num_vals))
             if not verdict.ok:
                 report.violations.append(Violation(
                     "opacity", h,
                     {"walk": walk_no, "reason": verdict.reason}))
         if "refinement" in cfg.check_set:
-            acc = dtms2_accepts(h, config)
+            acc = dtms2_accepts(h, cfg.domain)
             if not acc.ok:
                 report.violations.append(Violation(
                     "refinement", h,
                     {"walk": walk_no, "failed_at": acc.failed_at}))
         if "weaksim" in cfg.check_set:
-            sim = check_weak_sim(config, schedule)
+            sim = check_weak_sim(cfg.domain, schedule)
             if not sim.ok:
                 report.violations.append(Violation(
                     "weaksim", h,

@@ -1,4 +1,5 @@
-"""Transactional histories: events, well-formedness, crash eras, completions.
+"""Transactional histories: events, well-formedness, crash eras, completions,
+and the ``Domain`` of transaction ids, addresses and values they range over.
 
 A history is a finite sequence of invocation/response events of transactional
 operations (begin, read, write, commit), possibly interleaved across
@@ -43,6 +44,24 @@ class Event:
 History = tuple[Event, ...]
 
 CRASH = Event("crash")
+
+
+@dataclass(frozen=True)
+class Domain:
+    """The one domain the logging machine, the reference automaton and the
+    explorer range over: transactions 1..num_txns (0 names the
+    system/recovery actor), addresses 0..num_addrs-1, values
+    0..num_vals-1."""
+
+    num_txns: int = 2
+    num_addrs: int = 2
+    num_vals: int = 2
+
+    def __post_init__(self) -> None:
+        for name in ("num_txns", "num_addrs", "num_vals"):
+            n = getattr(self, name)
+            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
 
 
 def inv_begin(t: int) -> Event:

@@ -40,17 +40,16 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
-from .dtml import DtmlAction, DtmlConfig, DtmlMachine, DtmlState
+from .dtml import DtmlAction, DtmlMachine, DtmlState
 from .dtms2 import (
     Acceptor,
     AcceptResult,
-    Dtms2Config,
     Dtms2Machine,
     Dtms2State,
     compact_history,
     dtms2_accepts,
 )
-from .histories import Event, History, event_to_json, ops
+from .histories import Domain, Event, History, event_to_json, ops
 
 # abstract status corresponding to each concrete program counter under the
 # intended step synchronization (reads take effect at the memory fetch,
@@ -259,13 +258,12 @@ class ForwardSimReport:
         }
 
 
-def check_forward_sim(config: DtmlConfig, schedule,
+def check_forward_sim(domain: Domain, schedule,
                       mutation: str | None = None) -> ForwardSimReport:
     """Step the implementation along a schedule, asserting after every
     step that some automaton candidate matches under the state relation."""
-    cm = DtmlMachine(config, mutation=mutation)
-    acceptor = Acceptor(Dtms2Machine(
-        Dtms2Config(config.num_txns, config.num_addrs, config.num_vals)))
+    cm = DtmlMachine(domain, mutation=mutation)
+    acceptor = Acceptor(Dtms2Machine(domain))
     cs = cm.initial()
     aset = acceptor.initial()
     if any(global_rel_clause(cs, a0) is not None for a0 in aset):
@@ -327,7 +325,7 @@ class WeakSimReport:
         }
 
 
-def check_weak_sim(config: Dtms2Config, schedule) -> WeakSimReport:
+def check_weak_sim(domain: Domain, schedule) -> WeakSimReport:
     """Mirror a durable-automaton schedule on the crash-free automaton.
 
     Crash steps are erased; snapshot indices in mirrored actions are
@@ -336,8 +334,8 @@ def check_weak_sim(config: Dtms2Config, schedule) -> WeakSimReport:
     stop agreeing, or if the produced histories differ after erasing
     crash markers.
     """
-    dm = Dtms2Machine(config, durable=True)
-    tm = Dtms2Machine(config, durable=False)
+    dm = Dtms2Machine(domain, durable=True)
+    tm = Dtms2Machine(domain, durable=False)
     ds, ts = dm.initial(), tm.initial()
     offset = 0
     d_events, t_events = [], []
@@ -374,10 +372,10 @@ def check_weak_sim(config: Dtms2Config, schedule) -> WeakSimReport:
 
 # -- trace membership -----------------------------------------------------------
 
-def check_trace_refinement(h: History, config: Dtms2Config | None = None,
+def check_trace_refinement(h: History, domain: Domain | None = None,
                            durable: bool = True) -> AcceptResult:
     """Is the history a trace of the reference automaton?  Without a
-    config, its ids are first made dense (see ``compact_history``)."""
-    if config is None:
-        h, config = compact_history(h)
-    return dtms2_accepts(h, config, durable=durable)
+    domain, its ids are first made dense (see ``compact_history``)."""
+    if domain is None:
+        h, domain = compact_history(h)
+    return dtms2_accepts(h, domain, durable=durable)

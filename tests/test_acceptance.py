@@ -22,21 +22,22 @@ from __future__ import annotations
 import os
 import random
 import time
+from dataclasses import asdict
 from itertools import count
 
 import pytest
 
 from durastm import histories as H
-from durastm.dtms2 import Dtms2Config, dtms2_accepts
+from durastm.dtms2 import dtms2_accepts
 from durastm.explorer import (ExplorationConfig, explore_exhaustive,
                               explore_random, walk_reference,
                               _invariant_violation)
-from durastm.dtml import DtmlConfig, DtmlMachine
+from durastm.dtml import DtmlMachine
 from durastm.histories import count_histories, enumerate_histories, ops
 from durastm.opacity import (durably_opaque, end_to_end_opaque,
                              end_to_end_opaque_alt)
 
-DOMAIN = dict(num_txns=2, num_addrs=2, num_vals=2)
+DOMAIN = H.Domain(num_txns=2, num_addrs=2, num_vals=2)
 VALUES = range(2)
 
 
@@ -57,7 +58,7 @@ def full_sweep():
             samples.append(h)
 
     cfg = ExplorationConfig(
-        **DOMAIN, max_crashes=1, flush_budget=1, max_steps=60,
+        domain=DOMAIN, max_crashes=1, flush_budget=1, max_steps=60,
         checks=("opacity", "refinement", "simrel", "invariants"),
         dedup="state")
     t0 = time.monotonic()
@@ -85,8 +86,7 @@ def test_A2_every_explored_history_is_accepted_by_reference_automaton(
         full_sweep, capsys) -> None:
     report, samples, _ = full_sweep
     bad = [v for v in report.violations if v.check == "refinement"]
-    config = Dtms2Config(**DOMAIN)
-    recheck = [h for h in samples if not dtms2_accepts(h, config).ok]
+    recheck = [h for h in samples if not dtms2_accepts(h, DOMAIN).ok]
     ok = not bad and not recheck
     _verdict(capsys, "A2", ok,
              f"{report.histories_explored} histories accepted "
@@ -100,8 +100,8 @@ def test_A2_every_explored_history_is_accepted_by_reference_automaton(
 
 def _hunt(mutation: str):
     cfg = ExplorationConfig(
-        **DOMAIN, max_crashes=1, flush_budget=1, max_steps=60,
-        mode="random", seed=7, num_walks=1000, min_crashes=1,
+        domain=DOMAIN, max_crashes=1, flush_budget=1, max_steps=60,
+        seed=7, num_walks=1000, min_crashes=1,
         continue_prob=0.85, crash_prob=0.02,
         checks=("opacity", "refinement"), mutation=mutation)
     report = explore_random(cfg, stop_on={"opacity", "refinement"})
@@ -111,7 +111,7 @@ def _hunt(mutation: str):
             continue
         h = v.history
         if (not durably_opaque(h, VALUES).ok
-                and not dtms2_accepts(h, Dtms2Config(**DOMAIN)).ok
+                and not dtms2_accepts(h, DOMAIN).ok
                 and any(H.is_crash(e) for e in h)):
             dual.append(h)
     return report, dual
@@ -140,7 +140,7 @@ def test_A4_missing_undo_logging_is_caught(capsys) -> None:
 @pytest.fixture(scope="module")
 def reference_walks():
     cfg = ExplorationConfig(
-        **DOMAIN, max_crashes=2, max_steps=40, mode="random", seed=42,
+        domain=DOMAIN, max_crashes=2, max_steps=40, seed=42,
         num_walks=10_000, checks=("opacity", "weaksim"))
     return walk_reference(cfg)
 
@@ -187,7 +187,7 @@ def test_A8_state_invariants_hold_throughout_the_sweep(
         full_sweep, capsys) -> None:
     report, _, _ = full_sweep
     bad = [v for v in report.violations if v.check.startswith("invariant.")]
-    initial = DtmlMachine(DtmlConfig(**DOMAIN)).initial()
+    initial = DtmlMachine(DOMAIN).initial()
     initial_bad = _invariant_violation(initial, frozenset())
     ok = not bad and initial_bad is None
     _verdict(capsys, "A8", ok,
@@ -202,13 +202,13 @@ def test_A8_state_invariants_hold_throughout_the_sweep(
 
 def _random_dwf_history(rng: random.Random, length: int,
                         max_crashes: int) -> H.History:
-    status = H.wf_start(DOMAIN["num_txns"])
+    status = H.wf_start(DOMAIN.num_txns)
     crashes = 0
     h: list[H.Event] = []
     while len(h) < length:
         moves = [ev for t, s in enumerate(status, start=1)
-                 for ev, _ in H._txn_moves(t, s, DOMAIN["num_addrs"],
-                                           DOMAIN["num_vals"])]
+                 for ev, _ in H._txn_moves(t, s, DOMAIN.num_addrs,
+                                           DOMAIN.num_vals)]
         if crashes < max_crashes:
             moves.append(H.CRASH)
         if not moves:
@@ -225,7 +225,8 @@ def test_A9_independent_opacity_strategies_agree(capsys) -> None:
     depth = 12 if full else 8
     disagreements: list[H.History] = []
     checked = 0
-    for h in enumerate_histories(**DOMAIN, max_events=depth, max_crashes=1):
+    for h in enumerate_histories(**asdict(DOMAIN), max_events=depth,
+                                 max_crashes=1):
         o = ops(h)
         if end_to_end_opaque(o, VALUES).ok != end_to_end_opaque_alt(o, VALUES):
             disagreements.append(h)
@@ -241,7 +242,7 @@ def test_A9_independent_opacity_strategies_agree(capsys) -> None:
                     != end_to_end_opaque_alt(o, VALUES)):
                 disagreements.append(h)
             sampled += 1
-    total = count_histories(**DOMAIN, max_events=12, max_crashes=1)
+    total = count_histories(**asdict(DOMAIN), max_events=12, max_crashes=1)
     ok = not disagreements
     mode = (f"all {checked} histories of <=12 events" if full else
             f"all {checked} histories of <={depth} events plus {sampled} "

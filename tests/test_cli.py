@@ -13,11 +13,11 @@ import pytest
 
 from durastm import histories as H
 from durastm.cli import main, read_trace, write_trace
-from durastm.dtml import DtmlConfig, DtmlMachine, act
+from durastm.dtml import DtmlMachine, act
 
 
 def _committed_write_history() -> H.History:
-    m = DtmlMachine(DtmlConfig(2, 2, 2))
+    m = DtmlMachine(H.Domain(2, 2, 2))
     sched = [
         act("invBegin", 1), act("B1", 1), act("B2", 1), act("resBegin", 1),
         act("invWrite", 1, addr=0, val=1), act("W1", 1), act("W2", 1),
@@ -161,7 +161,8 @@ def test_check_refinement_cost_follows_id_count_not_size(tmp_path,
 
 def test_check_history_cost_follows_value_count_not_size(tmp_path,
                                                          capsys) -> None:
-    # values are renamed densely before the oracle runs, so a dirty read of
+    # values are renamed densely before the oracle runs, and it checks
+    # against 0 and the values the trace names only, so a dirty read of
     # value 1,000,000 is checked against the same small domain as value 1
     # and fails at the same prefix
     codes, outs = [], []
@@ -173,7 +174,46 @@ def test_check_history_cost_follows_value_count_not_size(tmp_path,
         outs.append(capsys.readouterr().out)
     assert codes == [1, 1]
     assert "(failing prefix: 4)" in outs[0]
+    assert "value domain of 2 values" in outs[0]
     assert outs[0] == outs[1]
+    # the value domain is derived, never given
+    assert main(["check-history", "--in", str(p), "--vals", "1000000"]) == 2
+    capsys.readouterr()
+    # a pending read with no value named is checked against 0 alone
+    p = tmp_path / "pending.jsonl"
+    write_trace((H.inv_begin(1), H.res_begin(1), H.inv_read(1, 0)), str(p))
+    assert main(["check-history", "--in", str(p)]) == 0
+    assert "value domain of 1 values" in capsys.readouterr().out
+    # more values than the oracle's default bound of 3 are still checked
+    writes = tuple(e for v in (10, 20, 30, 40)
+                   for e in (H.inv_write(1, 0, v), H.res_write(1)))
+    p = tmp_path / "many.jsonl"
+    write_trace((H.inv_begin(1), H.res_begin(1)) + writes
+                + (H.inv_commit(1), H.res_commit(1), H.inv_begin(2),
+                   H.res_begin(2), H.inv_read(2, 0), H.res_read(2, 40)),
+                str(p))
+    assert main(["check-history", "--in", str(p)]) == 0
+    assert "value domain of 5 values" in capsys.readouterr().out
+
+
+_SIZE_FLAGS = {"--txns": "num_txns", "--addrs": "num_addrs",
+               "--vals": "num_vals"}
+
+
+@pytest.mark.parametrize("flag", sorted(_SIZE_FLAGS))
+@pytest.mark.parametrize("command", [
+    None, "explore", "fuzz", "walk-dtms2", "mutate"])
+def test_domain_size_below_one_is_refused(capsys, command, flag) -> None:
+    # None constructs the domain directly; the subcommands build it from
+    # their flags, and must answer with a usage error, not a traceback
+    name = _SIZE_FLAGS[flag]
+    if command is None:
+        with pytest.raises(ValueError, match=name):
+            H.Domain(**{name: 0})
+        return
+    assert main([command, flag, "0"]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
 
 
 def test_walk_dtms2_clean(capsys) -> None:

@@ -15,10 +15,10 @@ import random
 import pytest
 
 from durastm import histories as H
-from durastm.dtml import MUTATIONS, DtmlConfig, DtmlMachine, act
+from durastm.dtml import MUTATIONS, DtmlMachine, act
 
 
-CFG = DtmlConfig(num_txns=2, num_addrs=2, num_vals=2)
+CFG = H.Domain(num_txns=2, num_addrs=2, num_vals=2)
 
 
 def machine(mutation: str | None = None) -> DtmlMachine:

@@ -18,7 +18,6 @@ import pytest
 
 from durastm import histories as H
 from durastm.dtms2 import (
-    Dtms2Config,
     Dtms2Machine,
     compact_history,
     config_for_history,
@@ -29,7 +28,7 @@ from durastm.dtms2 import (
 from durastm.opacity import durably_opaque
 
 
-CFG = Dtms2Config(num_txns=2, num_addrs=2, num_vals=2)
+CFG = H.Domain(num_txns=2, num_addrs=2, num_vals=2)
 
 
 def run_steps(m, actions, s=None):
@@ -220,7 +219,7 @@ def test_accepts_interleaved_disjoint_writes() -> None:
         H.inv_read(3, 0), H.res_read(3, 1),
         H.inv_read(3, 1), H.res_read(3, 1),
     )
-    assert dtms2_accepts(h, Dtms2Config(3, 2, 2)).ok
+    assert dtms2_accepts(h, H.Domain(3, 2, 2)).ok
 
 
 def test_committed_write_survives_crash() -> None:

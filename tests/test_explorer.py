@@ -16,7 +16,7 @@ import pytest
 from durastm import dtms2
 from durastm import explorer
 from durastm import histories as H
-from durastm.dtml import DtmlConfig, DtmlMachine
+from durastm.dtml import DtmlMachine
 from durastm.dtms2 import config_for_history, dtms2_accepts
 from durastm.explorer import (
     CheckReport,
@@ -31,9 +31,10 @@ from durastm.opacity import durably_opaque
 
 def test_config_bounds_guard() -> None:
     with pytest.raises(ValueError):
-        explore_exhaustive(ExplorationConfig(num_txns=4))
+        explore_exhaustive(ExplorationConfig(domain=H.Domain(num_txns=4)))
     # explicit override allows larger domains
-    cfg = ExplorationConfig(num_txns=4, max_steps=2, force=True)
+    cfg = ExplorationConfig(domain=H.Domain(num_txns=4), max_steps=2,
+                            force=True)
     assert explore_exhaustive(cfg).histories_explored >= 1
 
 
@@ -48,7 +49,7 @@ def test_config_rejects_unknown_check_and_mutation() -> None:
 
 
 def test_zero_steps_explores_exactly_the_empty_history() -> None:
-    cfg = ExplorationConfig(num_txns=1, max_steps=0)
+    cfg = ExplorationConfig(domain=H.Domain(num_txns=1), max_steps=0)
     seen = []
     rep = explore_exhaustive(cfg, on_history=seen.append)
     assert rep.histories_explored == 1
@@ -57,7 +58,8 @@ def test_zero_steps_explores_exactly_the_empty_history() -> None:
 
 
 def test_exhaustive_is_deterministic() -> None:
-    cfg = ExplorationConfig(num_txns=1, num_addrs=1, max_steps=14)
+    cfg = ExplorationConfig(domain=H.Domain(num_txns=1, num_addrs=1),
+                            max_steps=14)
     r1 = explore_exhaustive(cfg)
     r2 = explore_exhaustive(cfg)
     assert r1.histories_explored == r2.histories_explored
@@ -66,7 +68,7 @@ def test_exhaustive_is_deterministic() -> None:
 
 
 def test_small_clean_exploration_has_no_violations() -> None:
-    cfg = ExplorationConfig(num_txns=1, num_addrs=1, num_vals=2,
+    cfg = ExplorationConfig(domain=H.Domain(1, 1, 2),
                             max_crashes=1, flush_budget=1, max_steps=18,
                             checks=("opacity", "refinement", "simrel",
                                     "invariants"))
@@ -83,7 +85,7 @@ def test_small_clean_exploration_has_no_violations() -> None:
 
 
 def test_crash_free_mode_yields_crash_free_opaque_histories() -> None:
-    cfg = ExplorationConfig(num_txns=2, num_addrs=1, num_vals=2,
+    cfg = ExplorationConfig(domain=H.Domain(2, 1, 2),
                             max_crashes=0, flush_budget=0, max_steps=16,
                             checks=("opacity",))
     histories = []
@@ -93,16 +95,17 @@ def test_crash_free_mode_yields_crash_free_opaque_histories() -> None:
 
 
 def test_canonical_hash_distinguishes_and_is_stable() -> None:
-    m = DtmlMachine(DtmlConfig(2, 2, 2))
+    m = DtmlMachine(H.Domain(2, 2, 2))
     s = m.initial()
     assert canonical_hash(s) == canonical_hash(m.initial())
     from durastm.nvm import MemoryPair
     s2 = s._replace(mem=MemoryPair(s.mem.vstore, (1, 0)))
     assert canonical_hash(s) != canonical_hash(s2)
     # stability across processes: no address- or salt-dependent input
-    code = ("from durastm.dtml import DtmlConfig, DtmlMachine\n"
+    code = ("from durastm.dtml import DtmlMachine\n"
             "from durastm.explorer import canonical_hash\n"
-            "print(canonical_hash(DtmlMachine(DtmlConfig(2, 2, 2)).initial()))")
+            "from durastm.histories import Domain\n"
+            "print(canonical_hash(DtmlMachine(Domain(2, 2, 2)).initial()))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == canonical_hash(s)
@@ -154,7 +157,7 @@ _BITE_DEPTH = {"skip_undo_log": 23, "skip_flush_W7": 29,
 @pytest.mark.parametrize("mutation", ["skip_undo_log", "skip_flush_W7",
                                       "skip_log_clear_E2"])
 def test_exhaustive_catches_mutations(mutation: str) -> None:
-    cfg = ExplorationConfig(num_txns=2, num_addrs=1, num_vals=2,
+    cfg = ExplorationConfig(domain=H.Domain(2, 1, 2),
                             max_crashes=1, flush_budget=1,
                             max_steps=_BITE_DEPTH[mutation],
                             mutation=mutation,
@@ -172,7 +175,7 @@ def test_exhaustive_catches_mutations(mutation: str) -> None:
 
 
 def test_mutant_log_clear_breaks_quiet_log_invariant() -> None:
-    cfg = ExplorationConfig(num_txns=1, num_addrs=1, num_vals=2,
+    cfg = ExplorationConfig(domain=H.Domain(1, 1, 2),
                             max_crashes=0, flush_budget=0, max_steps=18,
                             mutation="skip_log_clear_E2",
                             checks=("invariants",))
@@ -181,7 +184,7 @@ def test_mutant_log_clear_breaks_quiet_log_invariant() -> None:
 
 
 def test_random_mode_reproducible_and_clean() -> None:
-    cfg = ExplorationConfig(mode="random", seed=11, num_walks=100,
+    cfg = ExplorationConfig(seed=11, num_walks=100,
                             max_steps=40, max_crashes=1, flush_budget=1,
                             checks=("opacity", "refinement", "simrel",
                                     "invariants"))
@@ -194,7 +197,7 @@ def test_random_mode_reproducible_and_clean() -> None:
 @pytest.mark.parametrize("mutation", ["skip_undo_log", "skip_flush_W7",
                                       "skip_log_clear_E2"])
 def test_random_mode_with_steering_bites_mutants(mutation: str) -> None:
-    cfg = ExplorationConfig(mode="random", seed=7, num_walks=1000,
+    cfg = ExplorationConfig(seed=7, num_walks=1000,
                             max_steps=60, max_crashes=1, flush_budget=1,
                             min_crashes=1, continue_prob=0.85,
                             crash_prob=0.02, mutation=mutation,
@@ -207,7 +210,7 @@ def test_random_mode_with_steering_bites_mutants(mutation: str) -> None:
 def test_pipeline_verdicts_agree_with_standalone_oracles() -> None:
     # every walk history that passed the incremental pipeline must pass
     # the standalone oracles, and every flagged one must fail them
-    cfg = ExplorationConfig(mode="random", seed=13, num_walks=120,
+    cfg = ExplorationConfig(seed=13, num_walks=120,
                             max_steps=50, max_crashes=1, flush_budget=1,
                             min_crashes=1, continue_prob=0.85,
                             crash_prob=0.02, mutation="skip_undo_log",
@@ -222,7 +225,7 @@ def test_pipeline_verdicts_agree_with_standalone_oracles() -> None:
 
 
 def test_walk_reference_runs_opacity_and_crash_erasure_checks() -> None:
-    cfg = ExplorationConfig(mode="random", seed=3, num_walks=50,
+    cfg = ExplorationConfig(seed=3, num_walks=50,
                             max_steps=30, max_crashes=2,
                             checks=("opacity", "weaksim"))
     rep = walk_reference(cfg)

@@ -323,6 +323,20 @@ def test_oracle_refuses_too_many_values() -> None:
         end_to_end_opaque((), unsized())
 
 
+def test_values_no_event_names_never_change_the_verdict() -> None:
+    # such a value could only answer a pending read, which would then read
+    # a value nobody wrote; check-history relies on this to check against
+    # 0 and the values a trace names only
+    verdicts = set()
+    for h in H.enumerate_histories(2, 2, 2, max_events=6, max_crashes=1):
+        named = durably_opaque(h, range(2))
+        wider = durably_opaque(h, range(3))
+        assert (named.ok, named.failing_prefix) == (
+            wider.ok, wider.failing_prefix), h
+        verdicts.add(named.ok)
+    assert verdicts == {True, False}
+
+
 # strategy agreement -----------------------------------------------------------
 
 def test_strategies_agree_on_handpicked_cases() -> None:

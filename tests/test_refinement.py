@@ -16,8 +16,8 @@ import random
 import pytest
 
 from durastm import histories as H
-from durastm.dtml import DtmlConfig, DtmlMachine, act
-from durastm.dtms2 import Dtms2Config, Dtms2Machine, dtms2_random_walk, mact
+from durastm.dtml import DtmlMachine, act
+from durastm.dtms2 import Dtms2Machine, dtms2_random_walk, mact
 from durastm.nvm import MemoryPair, UndoLog
 from durastm.refinement import (
     check_forward_sim,
@@ -32,7 +32,7 @@ from durastm.refinement import (
     writes,
 )
 
-CFG = DtmlConfig(2, 2, 2)
+CFG = H.Domain(2, 2, 2)
 
 
 def _concrete(glb=0, writer=None, writer_pc=None, vstore=(0, 0), pstore=(0, 0),
@@ -48,7 +48,7 @@ def _concrete(glb=0, writer=None, writer_pc=None, vstore=(0, 0), pstore=(0, 0),
 
 
 def _abstract(mems=((0, 0),), pc=None, wr1=(), rd1=(), begin1=0):
-    s = Dtms2Machine(Dtms2Config(2, 2, 2)).initial()
+    s = Dtms2Machine(CFG).initial()
     pcs = list(s.pc)
     if pc is not None:
         pcs = list(pc)
@@ -227,7 +227,7 @@ def test_forward_sim_rejects_disabled_schedule() -> None:
 
 
 def test_forward_sim_catches_unlogged_write() -> None:
-    cfg = DtmlConfig(1, 2, 2)
+    cfg = H.Domain(1, 2, 2)
     schedule = [act("invBegin", 1), act("B1", 1), act("B2", 1), act("resBegin", 1),
                 act("invWrite", 1, addr=0, val=1),
                 act("W1", 1), act("W2", 1), act("W3", 1), act("W4", 1),
@@ -239,7 +239,7 @@ def test_forward_sim_catches_unlogged_write() -> None:
 
 
 def test_forward_sim_catches_missing_flush() -> None:
-    cfg = DtmlConfig(1, 2, 2)
+    cfg = H.Domain(1, 2, 2)
     schedule = [act("invBegin", 1), act("B1", 1), act("B2", 1), act("resBegin", 1),
                 act("invWrite", 1, addr=0, val=1)] + \
         [act(k, 1) for k in ("W1", "W2", "W3", "W4", "W5", "W6", "W7")] + \
@@ -253,7 +253,7 @@ def test_forward_sim_catches_missing_flush() -> None:
 
 
 def test_forward_sim_catches_retained_log() -> None:
-    cfg = DtmlConfig(1, 2, 2)
+    cfg = H.Domain(1, 2, 2)
     schedule = [act("invBegin", 1), act("B1", 1), act("B2", 1), act("resBegin", 1),
                 act("invWrite", 1, addr=0, val=1)] + \
         [act(k, 1) for k in ("W1", "W2", "W3", "W4", "W5", "W6", "W7")] + \
@@ -265,9 +265,6 @@ def test_forward_sim_catches_retained_log() -> None:
 
 # weak simulation ---------------------------------------------------------------
 
-CFG2 = Dtms2Config(2, 2, 2)
-
-
 def test_weak_sim_erases_crash_from_committed_write_run() -> None:
     schedule = [
         mact("invBegin", 1), mact("resBegin", 1),
@@ -277,7 +274,7 @@ def test_weak_sim_erases_crash_from_committed_write_run() -> None:
         mact("invBegin", 2), mact("resBegin", 2),
         mact("invRead", 2, addr=0), mact("doRead", 2, idx=0), mact("resRead", 2),
     ]
-    rep = check_weak_sim(CFG2, schedule)
+    rep = check_weak_sim(CFG, schedule)
     assert rep.ok
     assert H.CRASH in rep.durable_history
     assert rep.target_history == H.ops(rep.durable_history)
@@ -293,7 +290,7 @@ def test_weak_sim_mirrors_interrupted_transaction() -> None:
         mact("invBegin", 2), mact("resBegin", 2),
         mact("invRead", 2, addr=0), mact("doRead", 2, idx=0), mact("resRead", 2),
     ]
-    rep = check_weak_sim(CFG2, schedule)
+    rep = check_weak_sim(CFG, schedule)
     assert rep.ok
     assert rep.target_history[-1] == H.res_read(2, 0)
 
@@ -301,8 +298,8 @@ def test_weak_sim_mirrors_interrupted_transaction() -> None:
 def test_weak_sim_on_random_walks() -> None:
     rng = random.Random(4242)
     for _ in range(30):
-        _, schedule = dtms2_random_walk(CFG2, rng, max_steps=30, max_crashes=2)
-        rep = check_weak_sim(CFG2, schedule)
+        _, schedule = dtms2_random_walk(CFG, rng, max_steps=30, max_crashes=2)
+        rep = check_weak_sim(CFG, schedule)
         assert rep.ok, rep.reason
 
 
