@@ -144,9 +144,8 @@ def _config_from(args: argparse.Namespace) -> ExplorationConfig:
         min_crashes=getattr(args, "min_crashes", 0),
         continue_prob=getattr(args, "continue_prob", 0.0),
         crash_prob=getattr(args, "crash_prob", None),
-        flush_prob=getattr(args, "flush_prob", None),
         dedup=getattr(args, "dedup", "auto"),
-        force=args.force,
+        force=getattr(args, "force", False),
     )
 
 
@@ -167,7 +166,7 @@ def _cmd_walk_dtms2(args: argparse.Namespace) -> int:
         domain=_domain_from(args),
         max_crashes=args.max_crashes, max_steps=args.max_steps,
         seed=args.seed, checks=args.checks,
-        num_walks=args.walks, force=args.force)
+        num_walks=args.walks)
     report = walk_reference(cfg, stop_on=set(cfg.checks))
     return _finish_run(report, cfg.checks, args.out, args.report)
 
@@ -178,10 +177,7 @@ def _cmd_check_history(args: argparse.Namespace) -> int:
     # only answer a pending read, which would then read a value nobody
     # wrote, so a larger value domain never changes the verdict
     values = range(domain.num_vals)
-    verdict = durably_opaque(h, values, bounds=OracleBounds(
-        max_txns=max(4, domain.num_txns),
-        max_addrs=max(3, domain.num_addrs),
-        max_vals=max(3, domain.num_vals)))
+    verdict = durably_opaque(h, values, OracleBounds.covering(domain))
     print(f"{len(h)} events, value domain of {len(values)} values")
     if verdict.ok:
         print(f"durable opacity: {_status(True)}")
@@ -215,7 +211,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
             flush_budget=args.flush_budget, max_steps=args.max_steps,
             seed=args.seed, checks=wanted, mutation=name,
             num_walks=args.walks, min_crashes=1, continue_prob=0.85,
-            crash_prob=0.02, force=args.force)
+            crash_prob=0.02)
         report = explore_random(cfg, stop_on=set(wanted))
         found = {v.check for v in report.violations}
         if set(wanted) <= found:
@@ -245,8 +241,6 @@ def _add_domain_flags(p: argparse.ArgumentParser) -> None:
                    help="schedule length bound (default 60)")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed (default 0)")
-    p.add_argument("--force", action="store_true",
-                   help="override the exhaustive-bounds safety guard")
 
 
 def _add_machine_flags(p: argparse.ArgumentParser) -> None:
@@ -279,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "invariants (default opacity,refinement)")
     ex.add_argument("--dedup", choices=("auto", "state", "context"),
                     default="auto", help="state-merging policy")
+    ex.add_argument("--force", action="store_true",
+                    help="override the exhaustive-bounds safety guard")
     _add_output_flags(ex)
     ex.set_defaults(func=_cmd_explore)
 
@@ -296,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bias toward continuing live transactions")
     fz.add_argument("--crash-prob", type=float, default=None,
                     help="dedicated crash probability per step")
-    fz.add_argument("--flush-prob", type=float, default=None,
-                    help="dedicated flush probability per step")
     _add_output_flags(fz)
     fz.set_defaults(func=_cmd_fuzz)
 

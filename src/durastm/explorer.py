@@ -2,11 +2,13 @@
 
 Exhaustive mode runs a depth-first search over every enabled action with
 per-path crash and flush budgets, a begin-retry cut, and visited-state
-deduplication keyed by the frozen machine state itself.  Random mode runs
-seeded walks, uniform by default, with optional crash/flush/continuation
-steering.  A third driver walks the reference automaton directly for its
-own checks.  ``canonical_hash`` is the state's digest that stays stable
-across processes, for results that must be compared between runs.
+deduplication keyed by the frozen machine state, or by the state and its
+path record (``_Path``: budgets, checker frames, unflushed addresses and
+well-formedness status).  Random mode runs seeded walks, uniform by
+default, with optional crash/continuation steering.  A third driver walks
+the reference automaton directly for its own checks.  ``canonical_hash``
+is the state's digest that stays stable across processes, for results
+that must be compared between runs.
 
 Checks run prefix-incrementally: every emitted event advances the
 well-formedness status vector, the consistency oracle, the
@@ -21,11 +23,12 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import histories as H
 from .dtml import MUTATIONS, DtmlAction, DtmlMachine, DtmlState
 from .dtms2 import Acceptor, Dtms2Machine, dtms2_accepts, dtms2_random_walk
-from .opacity import durably_opaque, end_to_end_opaque
+from .opacity import OracleBounds, durably_opaque, end_to_end_opaque
 from .refinement import check_weak_sim, sim_step
 
 __all__ = [
@@ -76,16 +79,16 @@ class ExplorationConfig:
     num_walks: int = 1000
     min_crashes: int = 0
     crash_prob: float | None = None
-    flush_prob: float | None = None
     continue_prob: float = 0.0
     # "state": cut a path when its state was seen before (maximal state
     # coverage; every walked edge is still fully checked).  "context":
-    # cut only when state, remaining budgets, and checker context all
-    # repeat, so counterexample paths are never merged away — needed when
-    # hunting injected bugs, where a crash-and-recover prefix can
-    # converge to a state some healthy prefix reached first.  "auto"
-    # picks "context" when a mutation is active.  Both key on the frozen
-    # state itself; canonical_hash is the digest for comparisons across
+    # cut only when the state and its whole path record (budgets, checker
+    # frames, unflushed addresses, well-formedness status) repeat, so
+    # counterexample paths are never merged away — needed when hunting
+    # injected bugs, where a crash-and-recover prefix can converge to a
+    # state some healthy prefix reached first.  "auto" picks "context"
+    # when a mutation is active.  Both key on the frozen values
+    # themselves; canonical_hash is the digest for comparisons across
     # processes.
     dedup: str = "auto"
     # override for the exhaustive-mode state-space guard
@@ -115,7 +118,7 @@ class ExplorationConfig:
             raise ValueError("budgets must be non-negative")
         if not 0 <= self.min_crashes <= self.max_crashes:
             raise ValueError("min_crashes must lie within the crash budget")
-        for name in ("crash_prob", "flush_prob", "continue_prob"):
+        for name in ("crash_prob", "continue_prob"):
             p = getattr(self, name)
             if p is None and name != "continue_prob":
                 continue
@@ -254,117 +257,26 @@ def _advance_trace(acceptor: Acceptor, aset: frozenset,
     return acceptor.advance(aset, ev)
 
 
-class _Pipeline:
-    """Per-edge checking shared by exhaustive and random exploration."""
+class _Path(NamedTuple):
+    """What one search path carries besides its machine state.
 
-    def __init__(self, cfg: ExplorationConfig) -> None:
-        self.cfg = cfg
-        self.checks = cfg.check_set
-        self.machine = DtmlMachine(cfg.domain, mutation=cfg.mutation)
-        self.acceptor = None
-        if self.checks & {"refinement", "simrel"}:
-            self.acceptor = Acceptor(Dtms2Machine(cfg.domain))
-        self.value_domain = range(cfg.domain.num_vals)
+    ``budgets`` is (crashes, flushes, retries): how many crashes and
+    background flushes the path took, and per transaction how often a
+    begin re-read an odd (claimed) counter at B2.  ``trace`` and ``sim``
+    are the automaton candidate sets of the refinement and simrel checks
+    (None when the check is off), ``dirty`` the addresses written back but
+    not yet flushed, and ``wf`` the well-formedness status vector of the
+    path's events.
+    """
 
-    def initial_frames(self) -> tuple[frozenset | None, frozenset | None,
-                                      frozenset, tuple]:
-        aset_tr = None
-        aset_sim = None
-        if "refinement" in self.checks:
-            aset_tr = self.acceptor.initial()
-        if "simrel" in self.checks:
-            aset_sim = self.acceptor.initial()
-        return (aset_tr, aset_sim, frozenset(),
-                H.wf_start(self.cfg.domain.num_txns))
-
-    def check_edge(self, a: DtmlAction, s: DtmlState, s2: DtmlState,
-                   ev: H.Event | None, events: list[H.Event],
-                   aset_tr: frozenset | None, aset_sim: frozenset | None,
-                   dirty: frozenset, wf: tuple):
-        """Check one transition; ``events`` already includes ``ev``.
-
-        Returns (aset_tr', aset_sim', dirty', wf', violations, soft-clause
-        strings), where ``wf`` is the well-formedness status vector of
-        ``events``.  A failing event is reported under every check it
-        breaks, so one counterexample can carry several verdicts.
-        """
-        dirty = _update_dirty(dirty, s, a, self.cfg.mutation)
-        if "invariants" in self.checks:
-            inv = _invariant_violation(s2, dirty)
-            if inv is not None:
-                return aset_tr, aset_sim, dirty, wf, [Violation(
-                    inv, tuple(events), {"after_action": str(a)})], []
-        viols: list[Violation] = []
-        if ev is not None:
-            at = len(events) - 1
-            wf = H.wf_step(wf, ev)
-            if wf is None:
-                return aset_tr, aset_sim, dirty, wf, [Violation(
-                    "wellformed", tuple(events), {"at_event": at})], []
-            if "opacity" in self.checks and _needs_consistency_check(ev):
-                verdict = end_to_end_opaque(H.ops(events), self.value_domain)
-                if not verdict.ok:
-                    viols.append(Violation(
-                        "opacity", tuple(events),
-                        {"at_event": at, "reason": verdict.reason}))
-            if aset_tr is not None:
-                aset_tr = _advance_trace(self.acceptor, aset_tr, ev)
-                if not aset_tr:
-                    viols.append(Violation(
-                        "refinement", tuple(events),
-                        {"at_event": at, "event": str(ev)}))
-            if viols:
-                return aset_tr, aset_sim, dirty, wf, viols, []
-        soft: list[str] = []
-        if aset_sim is not None:
-            aset_sim, hard, soft_clauses = sim_step(
-                self.acceptor, aset_sim, a, s2, ev)
-            if hard:
-                return aset_tr, aset_sim, dirty, wf, [Violation(
-                    "simrel", tuple(events),
-                    {"action": str(a), "clauses": hard})], []
-            soft = [f"{a}: {c}" for c in soft_clauses]
-        return aset_tr, aset_sim, dirty, wf, [], soft
+    budgets: tuple[int, int, tuple[int, ...]]
+    trace: frozenset | None
+    sim: frozenset | None
+    dirty: frozenset
+    wf: tuple
 
 
-def _record_soft(report: CheckReport, soft: list[str]) -> None:
-    if not soft:
-        return
-    report.txn_rel_flag_count += len(soft)
-    if len(report.txn_rel_flags) < 10:
-        report.txn_rel_flags = tuple(
-            list(report.txn_rel_flags) + soft)[:10]
-
-
-def _stop_satisfied(stop_on, report: CheckReport) -> bool:
-    if not stop_on:
-        return False
-    seen = {v.check for v in report.violations}
-    return set(stop_on) <= seen
-
-
-# -- per-path budgets ----------------------------------------------------------
-# A path's budgets are (crashes, flushes, retries): how many crashes and
-# background flushes it took, and per transaction how often a begin re-read
-# an odd (claimed) counter at B2.  Both machine drivers filter actions with
-# _allowed and charge them with _spend.
-
-_Budgets = tuple[int, int, tuple[int, ...]]
-
-
-def _allowed(cfg: ExplorationConfig, s: DtmlState, acts: list[DtmlAction],
-             budgets: _Budgets) -> list[DtmlAction]:
-    """The actions of ``acts``, in order, that a path which has spent
-    ``budgets`` may take next."""
-    crashes, flushes, retries = budgets
-    return [a for a in acts
-            if (a.kind != "crash" or crashes < cfg.max_crashes)
-            and (a.kind != "flush" or flushes < cfg.flush_budget)
-            and (a.kind != "B2" or s.loc[a.tx - 1] % 2 == 0
-                 or retries[a.tx - 1] < MAX_BEGIN_RETRIES)]
-
-
-def _spend(s: DtmlState, a: DtmlAction, budgets: _Budgets) -> _Budgets:
+def _spend(budgets: tuple, s: DtmlState, a: DtmlAction) -> tuple:
     """The budgets spent once the path takes ``a`` in state ``s``."""
     crashes, flushes, retries = budgets
     if a.kind == "crash":
@@ -378,8 +290,102 @@ def _spend(s: DtmlState, a: DtmlAction, budgets: _Budgets) -> _Budgets:
     return budgets
 
 
-def _no_budget_spent(cfg: ExplorationConfig) -> _Budgets:
-    return 0, 0, (0,) * cfg.domain.num_txns
+class _Pipeline:
+    """Per-edge checking shared by exhaustive and random exploration; it
+    collects the run's violations and soft flags in ``report``."""
+
+    def __init__(self, cfg: ExplorationConfig) -> None:
+        self.cfg = cfg
+        self.checks = cfg.check_set
+        self.machine = DtmlMachine(cfg.domain, mutation=cfg.mutation)
+        self.acceptor = None
+        if self.checks & {"refinement", "simrel"}:
+            self.acceptor = Acceptor(Dtms2Machine(cfg.domain))
+        self.value_domain = range(cfg.domain.num_vals)
+        self.bounds = OracleBounds.covering(cfg.domain)
+        self.report = CheckReport()
+
+    def start(self) -> _Path:
+        """The path record of the empty schedule."""
+        n = self.cfg.domain.num_txns
+        acc, checks = self.acceptor, self.checks
+        trace = acc.initial() if "refinement" in checks else None
+        sim = acc.initial() if "simrel" in checks else None
+        return _Path((0, 0, (0,) * n), trace, sim, frozenset(),
+                     H.wf_start(n))
+
+    def allowed(self, s: DtmlState, path: _Path) -> list[DtmlAction]:
+        """The enabled actions of ``s``, in order, that ``path`` still has
+        the budget to take."""
+        cfg = self.cfg
+        crashes, flushes, retries = path.budgets
+        return [a for a in self.machine.enabled(s)
+                if (a.kind != "crash" or crashes < cfg.max_crashes)
+                and (a.kind != "flush" or flushes < cfg.flush_budget)
+                and (a.kind != "B2" or s.loc[a.tx - 1] % 2 == 0
+                     or retries[a.tx - 1] < MAX_BEGIN_RETRIES)]
+
+    def check_edge(self, a: DtmlAction, s: DtmlState, s2: DtmlState,
+                   ev: H.Event | None, events: list[H.Event],
+                   path: _Path) -> _Path | None:
+        """Check one transition; ``events`` already includes ``ev``.
+
+        Returns the path record after the step, or None when the step
+        broke a check.  A failing event is reported under every check it
+        breaks, so one counterexample can carry several verdicts.
+        """
+        report = self.report
+        dirty = _update_dirty(path.dirty, s, a, self.cfg.mutation)
+        if "invariants" in self.checks:
+            inv = _invariant_violation(s2, dirty)
+            if inv is not None:
+                report.violations.append(Violation(
+                    inv, tuple(events), {"after_action": str(a)}))
+                return None
+        trace, sim, wf = path.trace, path.sim, path.wf
+        if ev is not None:
+            at = len(events) - 1
+            wf = H.wf_step(wf, ev)
+            if wf is None:
+                report.violations.append(Violation(
+                    "wellformed", tuple(events), {"at_event": at}))
+                return None
+            viols: list[Violation] = []
+            if "opacity" in self.checks and _needs_consistency_check(ev):
+                verdict = end_to_end_opaque(
+                    H.ops(events), self.value_domain, self.bounds)
+                if not verdict.ok:
+                    viols.append(Violation(
+                        "opacity", tuple(events),
+                        {"at_event": at, "reason": verdict.reason}))
+            if trace is not None:
+                trace = _advance_trace(self.acceptor, trace, ev)
+                if not trace:
+                    viols.append(Violation(
+                        "refinement", tuple(events),
+                        {"at_event": at, "event": str(ev)}))
+            if viols:
+                report.violations.extend(viols)
+                return None
+        if sim is not None:
+            sim, hard, soft = sim_step(self.acceptor, sim, a, s2, ev)
+            if hard:
+                report.violations.append(Violation(
+                    "simrel", tuple(events),
+                    {"action": str(a), "clauses": hard}))
+                return None
+            if soft:
+                report.txn_rel_flag_count += len(soft)
+                report.txn_rel_flags = (report.txn_rel_flags + tuple(
+                    f"{a}: {c}" for c in soft))[:10]
+        return _Path(_spend(path.budgets, s, a), trace, sim, dirty, wf)
+
+
+def _stop_satisfied(stop_on, report: CheckReport) -> bool:
+    if not stop_on:
+        return False
+    seen = {v.check for v in report.violations}
+    return set(stop_on) <= seen
 
 
 # -- exhaustive mode -----------------------------------------------------------
@@ -397,10 +403,10 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
     cfg.validate(_MACHINE_CHECKS, exhaustive=True)
     pipe = _Pipeline(cfg)
     machine = pipe.machine
-    report = CheckReport()
+    report = pipe.report
     context_dedup = cfg.dedup_policy == "context"
-    # state -> [context, remaining depth] entries it was expanded with
-    visited: dict[DtmlState, list[list]] = {}
+    # state -> {dedup key: the most remaining depth it was expanded with}
+    visited: dict[DtmlState, dict] = {}
     events: list[H.Event] = []
     start = time.perf_counter()
     stopped = False
@@ -410,56 +416,43 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
         if on_history is not None:
             on_history(tuple(events))
 
-    def dfs(s: DtmlState, depth: int, budgets: _Budgets, aset_tr, aset_sim,
-            dirty, wf) -> None:
+    def dfs(s: DtmlState, depth: int, path: _Path) -> None:
         nonlocal stopped
         if stopped:
             return
-        if context_dedup:
-            context = (budgets, aset_tr, aset_sim, dirty)
-        else:
-            context = ()
         # dominance rule: cut only when this state was already expanded
         # with at least as much remaining depth — a revisit with more
         # steps left can reach continuations the first visit could not
         remaining = cfg.max_steps - depth
-        bucket = visited.setdefault(s, [])
-        for entry in bucket:
-            if entry[0] == context:
-                if remaining <= entry[1]:
-                    finish_path()
-                    return
-                entry[1] = remaining
-                break
-        else:
-            bucket.append([context, remaining])
+        depths = visited.setdefault(s, {})
+        key = path if context_dedup else None
+        if depths.get(key, -1) >= remaining:
+            finish_path()
+            return
+        depths[key] = remaining
         if depth >= cfg.max_steps:
             finish_path()
             return
-        acts = _allowed(cfg, s, machine.enabled(s), budgets)
+        acts = pipe.allowed(s, path)
         for a in acts:
             if stopped:
                 break
             s2, ev = machine.step(s, a)
             if ev is not None:
                 events.append(ev)
-            aset_tr2, aset_sim2, dirty2, wf2, viols, soft = pipe.check_edge(
-                a, s, s2, ev, events, aset_tr, aset_sim, dirty, wf)
-            _record_soft(report, soft)
-            if viols:
-                report.violations.extend(viols)
+            path2 = pipe.check_edge(a, s, s2, ev, events, path)
+            if path2 is None:
                 finish_path()
                 if _stop_satisfied(stop_on, report):
                     stopped = True
             else:
-                dfs(s2, depth + 1, _spend(s, a, budgets),
-                    aset_tr2, aset_sim2, dirty2, wf2)
+                dfs(s2, depth + 1, path2)
             if ev is not None:
                 events.pop()
         if not acts:
             finish_path()
 
-    dfs(machine.initial(), 0, _no_budget_spent(cfg), *pipe.initial_frames())
+    dfs(machine.initial(), 0, pipe.start())
     report.states_visited = len(visited)
     report.elapsed = time.perf_counter() - start
     return report
@@ -502,11 +495,6 @@ def _pick_action(rng: random.Random, cfg: ExplorationConfig,
         pool = [a for a in pool if a.kind != "crash"]
         if crash_acts and rng.random() < cfg.crash_prob:
             return crash_acts[0]
-    if cfg.flush_prob is not None:
-        flush_acts = [a for a in pool if a.kind == "flush"]
-        pool = [a for a in pool if a.kind != "flush"]
-        if flush_acts and rng.random() < cfg.flush_prob:
-            return rng.choice(flush_acts)
     if cfg.continue_prob > 0.0:
         cont = [a for a in pool if _is_continuation(s, a)]
         if cont and rng.random() < cfg.continue_prob:
@@ -521,13 +509,13 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
     """Seeded random walks over the implementation machine.
 
     Walks are uniform over the budget-respecting enabled actions unless
-    ``crash_prob``/``flush_prob``/``continue_prob`` steer the choice;
+    ``crash_prob``/``continue_prob`` steer the choice;
     ``min_crashes`` forces that many crashes into every walk.
     """
     cfg.validate(_MACHINE_CHECKS)
     pipe = _Pipeline(cfg)
     machine = pipe.machine
-    report = CheckReport()
+    report = pipe.report
     rng = random.Random(cfg.seed)
     seen: set[DtmlState] = set()
     start = time.perf_counter()
@@ -535,24 +523,19 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
     for _ in range(cfg.num_walks):
         s = machine.initial()
         seen.add(s)
-        aset_tr, aset_sim, dirty, wf = pipe.initial_frames()
+        path = pipe.start()
         events: list[H.Event] = []
-        budgets = _no_budget_spent(cfg)
         for step_no in range(cfg.max_steps):
-            acts = _allowed(cfg, s, machine.enabled(s), budgets)
+            acts = pipe.allowed(s, path)
             if not acts:
                 break
-            a = _pick_action(rng, cfg, acts, s, budgets[0],
+            a = _pick_action(rng, cfg, acts, s, path.budgets[0],
                              cfg.max_steps - step_no)
-            budgets = _spend(s, a, budgets)
             s2, ev = machine.step(s, a)
             if ev is not None:
                 events.append(ev)
-            aset_tr, aset_sim, dirty, wf, viols, soft = pipe.check_edge(
-                a, s, s2, ev, events, aset_tr, aset_sim, dirty, wf)
-            _record_soft(report, soft)
-            if viols:
-                report.violations.extend(viols)
+            path = pipe.check_edge(a, s, s2, ev, events, path)
+            if path is None:
                 break
             s = s2
             seen.add(s)
@@ -580,6 +563,7 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
     """
     cfg.validate(_REFERENCE_CHECKS)
     report = CheckReport()
+    bounds = OracleBounds.covering(cfg.domain)
     rng = random.Random(cfg.seed)
     start = time.perf_counter()
 
@@ -588,7 +572,7 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
             cfg.domain, rng, cfg.max_steps, max_crashes=cfg.max_crashes)
         report.states_visited += len(schedule)
         if "opacity" in cfg.check_set:
-            verdict = durably_opaque(h, range(cfg.domain.num_vals))
+            verdict = durably_opaque(h, range(cfg.domain.num_vals), bounds)
             if not verdict.ok:
                 report.violations.append(Violation(
                     "opacity", h,

@@ -17,9 +17,6 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
-# reserved process id for the crash/recovery system; never appears in events
-SYST = 0
-
 INV_TAGS = ("invBegin", "invRead", "invWrite", "invCommit")
 RES_TAGS = ("resBegin", "resRead", "resWrite", "resCommit")
 EV_TAGS = INV_TAGS + RES_TAGS + ("crash",)

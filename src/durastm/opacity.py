@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .histories import (
     CRASH,
+    Domain,
     Event,
     History,
     completions,
@@ -61,6 +62,15 @@ class OracleBounds:
     max_txns: int = 4
     max_addrs: int = 3
     max_vals: int = 3
+
+    @classmethod
+    def covering(cls, domain: Domain) -> OracleBounds:
+        """The default bounds, raised where needed so that every history
+        over ``domain`` (with ``range(domain.num_vals)`` as its values)
+        passes them."""
+        return cls(max(cls.max_txns, domain.num_txns),
+                   max(cls.max_addrs, domain.num_addrs),
+                   max(cls.max_vals, domain.num_vals))
 
 
 @dataclass

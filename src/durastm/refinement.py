@@ -147,10 +147,6 @@ def global_rel_clause(cs: DtmlState, as_: Dtms2State) -> str | None:
     return global_rel_for(cs)(as_)
 
 
-def global_rel(cs: DtmlState, as_: Dtms2State) -> bool:
-    return global_rel_clause(cs, as_) is None
-
-
 def txn_rel_clause(cs: DtmlState, as_: Dtms2State, t: int) -> str | None:
     """First violated clause of the per-transaction correspondence for
     transaction t, or None.  This layer is a reconstruction and is
@@ -191,10 +187,6 @@ def txn_rel_clause(cs: DtmlState, as_: Dtms2State, t: int) -> str | None:
     return None
 
 
-def txn_rel(cs: DtmlState, as_: Dtms2State, t: int) -> bool:
-    return txn_rel_clause(cs, as_, t) is None
-
-
 def _txn_rel_all(cs: DtmlState, as_: Dtms2State) -> str | None:
     for t in range(1, len(cs.pc) + 1):
         clause = txn_rel_clause(cs, as_, t)
@@ -233,10 +225,15 @@ def sim_step(acceptor: Acceptor, aset: frozenset, ca: DtmlAction,
         hard = sorted({rel(a2) for a2 in images} - {None}) \
             if images else ["no matching automaton action"]
         return filtered, hard, []
-    soft: list[str] = []
-    if not any(_txn_rel_all(cs2, a2) is None for a2 in filtered):
-        soft = sorted({_txn_rel_all(cs2, a2) for a2 in filtered} - {None})
-    return filtered, [], soft
+    # each image's soft clause is computed once; one image that satisfies
+    # the per-transaction layer clears the step
+    soft = set()
+    for a2 in filtered:
+        clause = _txn_rel_all(cs2, a2)
+        if clause is None:
+            return filtered, [], []
+        soft.add(clause)
+    return filtered, [], sorted(soft)
 
 
 @dataclass

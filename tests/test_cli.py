@@ -63,6 +63,30 @@ def test_fuzz_probability_outside_unit_interval_is_usage_error(
     assert flag[2:].replace("-", "_") in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--vals", "4", "--walks", "20"],
+    ["walk-dtms2", "--txns", "5", "--walks", "20"],
+    ["explore", "--vals", "4", "--force", "--max-steps", "10"],
+])
+def test_domain_beyond_default_oracle_bounds_is_checked(capsys,
+                                                        argv) -> None:
+    # the oracle's bounds cover every domain the command accepts
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "PASS" in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--flush-prob", "0.5"],
+    ["fuzz", "--force"],
+    ["walk-dtms2", "--force"],
+    ["mutate", "--force"],
+])
+def test_flags_no_command_reads_are_refused(capsys, argv) -> None:
+    assert main(argv + ["--walks", "1"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_explore_clean_run_exits_zero(capsys) -> None:
     rc = main(["explore", "--txns", "1", "--addrs", "1",
                "--max-steps", "14", "--checks",

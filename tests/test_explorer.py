@@ -3,13 +3,14 @@
 Exhaustive mode is a depth-first search over enabled actions with per-path
 crash/flush budgets, a begin-retry cut, and state-keyed dedup;
 checks run prefix-incrementally as events are emitted.  Random mode is
-seeded uniform walks with optional crash/flush steering.  A separate
+seeded uniform walks with optional crash/continuation steering.  A separate
 driver walks the reference automaton for its own checks.
 """
 from __future__ import annotations
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -138,6 +139,7 @@ def test_acceptor_memo_size_changes_no_verdict_and_bounds_its_caches(
                 (acceptor.advance, acceptor.match, acceptor.silent)]
 
     full = run()
+    assert full[:3] == (9445, 2031, [])
     (acceptor,) = acceptors
     infos = cache_infos(acceptor)
     # the run asked for more distinct steps than a cache may hold
@@ -146,12 +148,20 @@ def test_acceptor_memo_size_changes_no_verdict_and_bounds_its_caches(
     monkeypatch.setattr(dtms2, "MEMO_SIZE", 1)
     assert run() == full
     assert max(i.currsize for i in cache_infos(acceptors[-1])) <= 1
+    cfg = replace(cfg, mutation="skip_undo_log")
+    hist, states, viols, _ = run()
+    assert (hist, states, len(viols)) == (8065, 1443, 110)
 
 
 # minimal action depth at which each injected bug reaches an observable
 # post-crash read: write-back/commit work pre-crash plus recovery length
 _BITE_DEPTH = {"skip_undo_log": 23, "skip_flush_W7": 29,
                "skip_log_clear_E2": 34}
+# (histories, states) of the context-dedup search up to its stop: a change
+# to the search that should change nothing must leave these alone
+_BITE_COUNTS = {"skip_undo_log": (27280, 1259),
+                "skip_flush_W7": (91464, 2475),
+                "skip_log_clear_E2": (134313, 1788)}
 
 
 @pytest.mark.parametrize("mutation", ["skip_undo_log", "skip_flush_W7",
@@ -165,6 +175,8 @@ def test_exhaustive_catches_mutations(mutation: str) -> None:
     rep = explore_exhaustive(cfg, stop_on={"opacity", "refinement"})
     kinds = {v.check for v in rep.violations}
     assert "opacity" in kinds and "refinement" in kinds
+    assert (rep.histories_explored,
+            rep.states_visited) == _BITE_COUNTS[mutation]
     # re-verify the counterexamples with the standalone oracles
     bad_opacity = next(v for v in rep.violations if v.check == "opacity")
     verdict = durably_opaque(bad_opacity.history, value_domain=range(2))
@@ -217,6 +229,9 @@ def test_pipeline_verdicts_agree_with_standalone_oracles() -> None:
                             checks=("opacity", "refinement"))
     walked: list[H.History] = []
     rep = explore_random(cfg, on_history=walked.append)
+    # pinned: a change in the order of random draws moves these
+    assert (rep.histories_explored, rep.states_visited,
+            len(rep.violations)) == (120, 1376, 4)
     flagged_opacity = {v.history for v in rep.violations
                        if v.check == "opacity"}
     assert flagged_opacity, "expected at least one stale walk in the sample"

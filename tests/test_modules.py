@@ -1,12 +1,15 @@
 """Module boundaries of the package: no module of ``durastm`` imports a
 private (``_``-prefixed) name of another, or reaches one through a module it
-imported.  What one module needs from another is public API."""
+imported.  What one module needs from another is public API.  And no
+module-level name of the package is dead: something in the source, the
+tests, the demos or the benchmark mentions it."""
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "durastm"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "durastm"
 
 
 def _is_private(name: str) -> bool:
@@ -53,3 +56,83 @@ def test_private_use_detector_sees_each_form() -> None:
               "from .histories import Domain\n"
               "H._txn_moves, E._Pipeline, H.wf_start\n")
     assert len(_private_uses(source)) == 4
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every module-level function, class and assigned
+    constant, dunders aside."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        found.append((sub.id, node.lineno))
+    return [(name, line) for name, line in found if not _is_dunder(name)]
+
+
+def _mentions(source: str) -> set[str]:
+    """Every name a source reads: loaded names, attributes, imported names
+    and the dotted parts of string constants (``"DtmlMachine.step"``
+    names a method to look up by string)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(node.value.split("."))
+    return found
+
+
+def _dead_names(modules: dict[str, str], users: list[str]) -> list[str]:
+    mentioned = set().union(*map(_mentions, [*modules.values(), *users]))
+    return [f"{module}:{line}: {name}"
+            for module, source in modules.items()
+            for name, line in _definitions(source)
+            if name not in mentioned]
+
+
+def test_no_module_level_name_is_dead() -> None:
+    modules = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    users = [path.read_text(encoding="utf-8")
+             for folder in ("tests", "demos", "bench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(modules) >= 9 and len(users) >= 10
+    assert _dead_names(modules, users) == []
+
+
+def test_dead_name_detector_sees_each_form() -> None:
+    module = ("from __future__ import annotations\n"
+              "__all__ = ['used_by_all']\n"
+              "DEAD, _DEAD_TOO = 0, 1\n"
+              "LIVE: int = 2\n"
+              "_Alias = tuple[int, int]\n"
+              "def used_by_all(): return LIVE\n"
+              "def by_string(): pass\n"
+              "def dead_function(): pass\n"
+              "class Dead:\n"
+              "    def method(self): pass\n"
+              "class ByImport: pass\n"
+              "class ByAttribute: pass\n")
+    user = ("from m import ByImport\n"
+            "import m\n"
+            "m.ByAttribute\n"
+            "SPANS = [('m', 'by_string.__call__')]\n"
+            "dead_function = None  # a store is no mention\n")
+    assert _dead_names({"m.py": module}, [user]) == [
+        "m.py:3: DEAD", "m.py:3: _DEAD_TOO", "m.py:5: _Alias",
+        "m.py:8: dead_function", "m.py:9: Dead"]

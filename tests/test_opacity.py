@@ -323,6 +323,18 @@ def test_oracle_refuses_too_many_values() -> None:
         end_to_end_opaque((), unsized())
 
 
+def test_covering_bounds_raise_the_defaults_to_the_domain() -> None:
+    assert opacity.OracleBounds.covering(H.Domain()) == opacity.OracleBounds()
+    assert opacity.OracleBounds.covering(H.Domain(5, 1, 4)) == \
+        opacity.OracleBounds(max_txns=5, max_addrs=3, max_vals=4)
+    # five transactions and four values pass the raised bounds only
+    h = tuple(H.inv_begin(t) for t in range(1, 6))
+    with pytest.raises(TooLargeError, match="more than 4 transactions"):
+        end_to_end_opaque(h, range(4))
+    assert end_to_end_opaque(
+        h, range(4), opacity.OracleBounds.covering(H.Domain(5, 1, 4))).ok
+
+
 def test_values_no_event_names_never_change_the_verdict() -> None:
     # such a value could only answer a pending read, which would then read
     # a value nobody wrote; check-history relies on this to check against

@@ -23,10 +23,8 @@ from durastm.refinement import (
     check_forward_sim,
     check_trace_refinement,
     check_weak_sim,
-    global_rel,
     global_rel_clause,
     logical_glb,
-    txn_rel,
     txn_rel_clause,
     write_count,
     writes,
@@ -85,7 +83,7 @@ def test_logical_glb_and_write_count() -> None:
 
 
 def test_global_rel_initial_pair() -> None:
-    assert global_rel(_concrete(), _abstract())
+    assert global_rel_clause(_concrete(), _abstract()) is None
 
 
 def test_global_rel_undo_log_restores_snapshot() -> None:
@@ -127,7 +125,7 @@ def test_txn_rel_pc_table_and_parity() -> None:
     cs = _concrete(glb=1, writer=1, writer_pc="W7", vstore=(1, 0),
                    log=((0, 0),), loc=(1, 0))
     good = _abstract(pc=("writeResp", "notStarted"), wr1=((0, 1),))
-    assert txn_rel(cs, good, 1)
+    assert txn_rel_clause(cs, good, 1) is None
     wrong_pc = _abstract(pc=("writePending", "notStarted"), wr1=((0, 1),))
     assert txn_rel_clause(cs, wrong_pc, 1) == "txnRel.pc(t=1)"
     # an even location snapshot is incompatible with a populated write set
@@ -142,7 +140,7 @@ def test_txn_rel_valid_idx_for_reader() -> None:
                               in_addr=(0, None), in_val=(0, None))
     ok = _abstract(pc=("readPending", "notStarted"), rd1=((0, 0),))
     ok = ok._replace(cur_addr=(0, None))
-    assert txn_rel(cs, ok, 1)
+    assert txn_rel_clause(cs, ok, 1) is None
     stale = _abstract(mems=((0, 0), (1, 0)), pc=("readPending", "notStarted"),
                       rd1=((0, 0),), begin1=1)
     stale = stale._replace(cur_addr=(0, None))
