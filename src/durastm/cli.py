@@ -124,7 +124,13 @@ def _finish_run(report: CheckReport, checks: Sequence[str],
 
 
 def _checks_arg(text: str) -> tuple[str, ...]:
-    return tuple(c.strip() for c in text.split(",") if c.strip())
+    """The check names of a ``--checks`` comma list.  An empty list is a
+    usage error: a run with no check would pass whatever the machine did.
+    ``ExplorationConfig`` still takes an empty tuple, for library use."""
+    checks = tuple(c.strip() for c in text.split(",") if c.strip())
+    if not checks:
+        raise ValueError("--checks names no check")
+    return checks
 
 
 def _domain_from(args: argparse.Namespace) -> H.Domain:
@@ -138,7 +144,7 @@ def _config_from(args: argparse.Namespace) -> ExplorationConfig:
         flush_budget=args.flush_budget,
         max_steps=args.max_steps,
         seed=args.seed,
-        checks=args.checks,
+        checks=_checks_arg(args.checks),
         mutation=args.mutation,
         num_walks=getattr(args, "walks", 1000),
         min_crashes=getattr(args, "min_crashes", 0),
@@ -165,7 +171,7 @@ def _cmd_walk_dtms2(args: argparse.Namespace) -> int:
     cfg = ExplorationConfig(
         domain=_domain_from(args),
         max_crashes=args.max_crashes, max_steps=args.max_steps,
-        seed=args.seed, checks=args.checks,
+        seed=args.seed, checks=_checks_arg(args.checks),
         num_walks=args.walks)
     report = walk_reference(cfg, stop_on=set(cfg.checks))
     return _finish_run(report, cfg.checks, args.out, args.report)
@@ -267,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("explore", help="exhaustive bounded exploration")
     _add_machine_flags(ex)
-    ex.add_argument("--checks", type=_checks_arg,
-                    default=("opacity", "refinement"),
+    ex.add_argument("--checks", default="opacity,refinement",
                     help="comma list from opacity,refinement,simrel,"
                          "invariants (default opacity,refinement)")
     ex.add_argument("--dedup", choices=("auto", "state", "context"),
@@ -280,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fz = sub.add_parser("fuzz", help="seeded random walks of the machine")
     _add_machine_flags(fz)
-    fz.add_argument("--checks", type=_checks_arg,
-                    default=("opacity", "refinement"),
+    fz.add_argument("--checks", default="opacity,refinement",
                     help="comma list from opacity,refinement,simrel,"
                          "invariants (default opacity,refinement)")
     fz.add_argument("--walks", type=int, default=1000,
@@ -298,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     wk = sub.add_parser("walk-dtms2",
                         help="seeded random walks of the reference automaton")
     _add_domain_flags(wk)
-    wk.add_argument("--checks", type=_checks_arg,
-                    default=("opacity", "refinement"),
+    wk.add_argument("--checks", default="opacity,refinement",
                     help="comma list from opacity,refinement,weaksim "
                          "(default opacity,refinement)")
     wk.add_argument("--walks", type=int, default=1000,

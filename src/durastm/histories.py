@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 INV_TAGS = ("invBegin", "invRead", "invWrite", "invCommit")
 RES_TAGS = ("resBegin", "resRead", "resWrite", "resCommit")
@@ -29,8 +29,10 @@ _PAIRING = {
 }
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One event.  A tuple underneath, so that hashing and equality (the
+    opacity memo's keys, the acceptor's LRU keys) run in C."""
+
     ev: str
     tx: int | None = None
     addr: int | None = None

@@ -87,6 +87,19 @@ def test_flags_no_command_reads_are_refused(capsys, argv) -> None:
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["explore", "--checks", ""],
+    ["fuzz", "--checks", ","],
+    ["walk-dtms2", "--checks", " , "],
+])
+def test_empty_checks_list_is_refused(capsys, argv) -> None:
+    # a run with no check would print PASS whatever the machine did
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: --checks names no check" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_explore_clean_run_exits_zero(capsys) -> None:
     rc = main(["explore", "--txns", "1", "--addrs", "1",
                "--max-steps", "14", "--checks",

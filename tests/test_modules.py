@@ -2,10 +2,12 @@
 private (``_``-prefixed) name of another, or reaches one through a module it
 imported.  What one module needs from another is public API.  And no
 module-level name of the package is dead: something in the source, the
-tests, the demos or the benchmark mentions it."""
+tests, the demos or the benchmark mentions it.  Nor is any module-level
+``lru_cache`` unbounded, the interning caches of actions aside."""
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,3 +138,46 @@ def test_dead_name_detector_sees_each_form() -> None:
     assert _dead_names({"m.py": module}, [user]) == [
         "m.py:3: DEAD", "m.py:3: _DEAD_TOO", "m.py:5: _Alias",
         "m.py:8: dead_function", "m.py:9: Dead"]
+
+
+# caches whose keys come from a finite alphabet: the interned actions
+_UNBOUNDED_OK = frozenset({"durastm.dtml.act", "durastm.dtms2.mact"})
+
+
+def _unbounded_caches(namespaces: list[dict]) -> list[str]:
+    """Qualified names of the module-level ``lru_cache`` functions with no
+    size bound, the interning caches aside."""
+    found = set()
+    for namespace in namespaces:
+        for value in namespace.values():
+            params = getattr(value, "cache_parameters", None)
+            if callable(params) and params()["maxsize"] is None:
+                found.add(f"{value.__module__}.{value.__qualname__}")
+    return sorted(found - _UNBOUNDED_OK)
+
+
+def test_no_module_level_cache_is_unbounded() -> None:
+    # a memo keyed on histories or states grows with the run it serves
+    names = ["durastm" if path.stem == "__init__" else f"durastm.{path.stem}"
+             for path in sorted(PACKAGE.glob("*.py"))]
+    modules = [importlib.import_module(name) for name in names]
+    assert len(modules) >= 9
+    assert _unbounded_caches([vars(m) for m in modules]) == []
+
+
+def test_unbounded_cache_detector_sees_each_form() -> None:
+    source = ("from functools import lru_cache, cache\n"
+              "@lru_cache(maxsize=None)\n"
+              "def unbounded(x): return x\n"
+              "@cache\n"
+              "def also_unbounded(x): return x\n"
+              "@lru_cache(maxsize=16)\n"
+              "def bounded(x): return x\n"
+              "@lru_cache\n"
+              "def default_size(x): return x\n"
+              "def act(x): return x\n"
+              "act = lru_cache(maxsize=None)(act)\n")
+    namespace = {"__name__": "m"}
+    exec(source, namespace)
+    assert _unbounded_caches([namespace]) == [
+        "m.act", "m.also_unbounded", "m.unbounded"]

@@ -157,6 +157,34 @@ def test_legal_agrees_with_legal_at_every_index(monkeypatch) -> None:
     assert verdicts == {True, False}
 
 
+def test_sequential_memo_changes_no_verdict_and_stays_bounded() -> None:
+    memo = opacity._sequential
+    space = [H.ops(h) for h in
+             H.enumerate_histories(2, 2, 2, max_events=6, max_crashes=1)]
+    cold = []
+    for o in space:
+        memo.cache_clear()
+        cold.append(end_to_end_opaque_alt(o, V01))
+    memo.cache_clear()
+    warm = [end_to_end_opaque_alt(o, V01) for o in space]
+    assert warm == cold and set(cold) == {True, False}
+    info = memo.cache_info()
+    assert info.hits > 0
+    assert info.maxsize == opacity.SEQUENTIAL_MEMO_SIZE
+    assert 0 < info.currsize <= opacity.SEQUENTIAL_MEMO_SIZE
+    # lists do not hash; sequential takes any sequence all the same
+    hs = block(1, ("w", 0, 1)) + block(2, ("r", 0, 1))
+    assert sequential(list(hs)) and sequential(hs)
+
+
+def test_event_text_is_unchanged() -> None:
+    # violation details embed str(ev)
+    assert str(H.inv_read(1, 0)) == (
+        "Event(ev='invRead', tx=1, addr=0, val=None, abort=False)")
+    assert repr(H.CRASH) == (
+        "Event(ev='crash', tx=None, addr=None, val=None, abort=False)")
+
+
 # end-to-end opacity ----------------------------------------------------------
 
 def test_committed_stale_read_not_opaque() -> None:

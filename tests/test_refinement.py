@@ -16,8 +16,10 @@ import random
 import pytest
 
 from durastm import histories as H
+from durastm import refinement
 from durastm.dtml import DtmlMachine, act
 from durastm.dtms2 import Dtms2Machine, dtms2_random_walk, mact
+from durastm.explorer import ExplorationConfig, explore_exhaustive
 from durastm.nvm import MemoryPair, UndoLog
 from durastm.refinement import (
     check_forward_sim,
@@ -259,6 +261,34 @@ def test_forward_sim_catches_retained_log() -> None:
     rep = check_forward_sim(cfg, schedule, mutation="skip_log_clear_E2")
     assert not rep.ok
     assert "globalRel.3" in rep.hard_failure["clauses"]
+
+
+
+# the soft layer: a fault in the per-transaction table alone ------------------
+
+SOFT_RUN = ExplorationConfig(domain=CFG, max_crashes=0, flush_budget=0,
+                             max_steps=12, checks=("simrel",),
+                             dedup="state")
+
+
+def test_broken_pc_table_raises_soft_flags_only(monkeypatch) -> None:
+    healthy = explore_exhaustive(SOFT_RUN)
+    assert (healthy.histories_explored, healthy.states_visited) == (847, 705)
+    assert healthy.ok and healthy.txn_rel_flag_count == 0
+    # a completed write (W7) taken as still pending: the global relation
+    # holds, so nothing is a violation, but the table's clause fails
+    monkeypatch.setitem(refinement._PC_TABLE, "W7", "writePending")
+    broken = explore_exhaustive(SOFT_RUN)
+    assert (broken.histories_explored, broken.states_visited) == (847, 705)
+    assert broken.ok and broken.violations == []
+    assert broken.txn_rel_flag_count == 36
+    assert len(broken.txn_rel_flags) == 10
+    assert broken.txn_rel_flags[0] == "W6(t1): txnRel.pc(t=1)"
+    rep = check_forward_sim(CFG, FULL_WRITER)
+    assert rep.ok and rep.soft_flag_count == 1
+    (flag,) = rep.soft_flags
+    assert (flag["tag"], flag["action"], flag["clauses"]) == (
+        "table_suspect", "W6(t1)", ["txnRel.pc(t=1)"])
 
 
 # weak simulation ---------------------------------------------------------------
