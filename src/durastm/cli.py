@@ -108,7 +108,7 @@ def _finish_run(report: CheckReport, checks: Sequence[str],
     for c in sorted(counts):
         print(f"check {c}: {counts[c]} violation(s)")
     if report.txn_rel_flag_count:
-        print(f"per-transaction relation soft flags: "
+        print(f"per-transaction relation soft-flagged steps: "
               f"{report.txn_rel_flag_count} (reported separately)")
     print(_status(report.ok))
     if not report.ok:

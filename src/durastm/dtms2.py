@@ -24,9 +24,11 @@ the crash transition; it is the target of the crash-erasure simulation.
 
 ``Acceptor`` is the one implementation of those subset-construction steps on
 frames (frozen sets of automaton states): the trace step ``advance`` that
-``dtms2_accepts`` and the explorer use, and the image steps ``match`` and
-``silent`` that forward simulation uses.  Frames are immutable, so each
-step is memoized, in a least-recently-used cache of ``MEMO_SIZE`` entries.
+the explorer uses and that ``accepts`` runs over a whole history, and the
+image steps ``match`` and ``silent`` that forward simulation uses.  Frames
+are immutable, so each step is memoized, in a least-recently-used cache of
+``MEMO_SIZE`` entries that lives as long as its acceptor: one history for
+``dtms2_accepts``, one run for the explorer's drivers.
 """
 from __future__ import annotations
 
@@ -418,6 +420,17 @@ class Acceptor:
     def initial(self) -> frozenset:
         return frozenset({self.machine.initial()})
 
+    def accepts(self, h: History) -> AcceptResult:
+        """Whether the automaton can produce h: ``advance`` from the
+        initial frame through every event.  Rejection reports the index of
+        the first impossible event."""
+        frame = self.initial()
+        for index, e in enumerate(h):
+            frame = self.advance(frame, e)
+            if not frame:
+                return AcceptResult(False, failed_at=index)
+        return AcceptResult(True)
+
 
 def dtms2_accepts(h: History, domain: Domain,
                   durable: bool = True) -> AcceptResult:
@@ -426,14 +439,10 @@ def dtms2_accepts(h: History, domain: Domain,
     Subset construction: track every automaton state reachable on the
     events seen so far, closing over internal transitions before each
     event.  Rejection reports the index of the first impossible event.
+    A fresh acceptor serves this one history; callers that judge many
+    histories over one domain keep an ``Acceptor`` and call ``accepts``.
     """
-    acceptor = Acceptor(Dtms2Machine(domain, durable=durable))
-    frame = acceptor.initial()
-    for index, e in enumerate(h):
-        frame = acceptor.advance(frame, e)
-        if not frame:
-            return AcceptResult(False, failed_at=index)
-    return AcceptResult(True)
+    return Acceptor(Dtms2Machine(domain, durable=durable)).accepts(h)
 
 
 def config_for_history(h: History) -> Domain:

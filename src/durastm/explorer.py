@@ -11,11 +11,11 @@ is the state's digest that stays stable across processes, for results
 that must be compared between runs.
 
 Checks run prefix-incrementally: every emitted event advances the
-well-formedness status vector, the consistency oracle, the
-reference-automaton subset construction, and the forward-simulation
-candidate set in lockstep with the search, so paths cut by deduplication
-have still had their whole prefix checked.  A path ends at its first
-violation; the recorded counterexample is that prefix.
+well-formedness status vector, the consistency oracle (at the events that
+``may_break_opacity``), the reference-automaton subset construction, and
+the forward-simulation candidate set in lockstep with the search, so paths
+cut by deduplication have still had their whole prefix checked.  A path
+ends at its first violation; the recorded counterexample is that prefix.
 """
 from __future__ import annotations
 
@@ -27,8 +27,9 @@ from typing import NamedTuple
 
 from . import histories as H
 from .dtml import MUTATIONS, DtmlAction, DtmlMachine, DtmlState
-from .dtms2 import Acceptor, Dtms2Machine, dtms2_accepts, dtms2_random_walk
-from .opacity import OracleBounds, durably_opaque, end_to_end_opaque
+from .dtms2 import Acceptor, Dtms2Machine, dtms2_random_walk
+from .opacity import (OracleBounds, durably_opaque, end_to_end_opaque,
+                      may_break_opacity)
 from .refinement import check_weak_sim, sim_step
 
 __all__ = [
@@ -162,7 +163,8 @@ class CheckReport:
     elapsed: float = 0.0
     # simulation-relation failures attributable only to the reconstructed
     # per-transaction clause table are reported separately, not as
-    # violations (see check_forward_sim)
+    # violations (see check_forward_sim): the number of soft-flagged steps,
+    # and the first ten distinct "action: clause" texts
     txn_rel_flag_count: int = 0
     txn_rel_flags: tuple[str, ...] = ()
 
@@ -198,18 +200,6 @@ def canonical_hash(state: DtmlState) -> str:
 
 
 # -- prefix-incremental checking ----------------------------------------------
-
-
-def _needs_consistency_check(ev: H.Event) -> bool:
-    # Only events that extend what the history promises can newly break
-    # the prefix condition: successful reads fix an observed value, and
-    # commit responses fix a transaction's fate (an aborted commit forbids
-    # completions that would have committed it).  Invocations, begin/write
-    # responses, and operation-level aborts only add events whose
-    # completions subsume those of the shorter prefix.
-    if ev.ev == "resRead" and not ev.abort:
-        return True
-    return ev.ev == "resCommit"
 
 
 def _update_dirty(dirty: frozenset, s: DtmlState, a: DtmlAction,
@@ -351,7 +341,7 @@ class _Pipeline:
                     "wellformed", tuple(events), {"at_event": at}))
                 return None
             viols: list[Violation] = []
-            if "opacity" in self.checks and _needs_consistency_check(ev):
+            if "opacity" in self.checks and may_break_opacity(ev):
                 verdict = end_to_end_opaque(
                     H.ops(events), self.value_domain, self.bounds)
                 if not verdict.ok:
@@ -375,9 +365,12 @@ class _Pipeline:
                     {"action": str(a), "clauses": hard}))
                 return None
             if soft:
-                report.txn_rel_flag_count += len(soft)
-                report.txn_rel_flags = (report.txn_rel_flags + tuple(
-                    f"{a}: {c}" for c in soft))[:10]
+                report.txn_rel_flag_count += 1
+                for c in soft:
+                    text = f"{a}: {c}"
+                    if (len(report.txn_rel_flags) < 10
+                            and text not in report.txn_rel_flags):
+                        report.txn_rel_flags += (text,)
         return _Path(_spend(path.budgets, s, a), trace, sim, dirty, wf)
 
 
@@ -557,13 +550,18 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
                    stop_on=None) -> CheckReport:
     """Seeded random walks of the reference automaton itself.
 
-    Each walk's history is checked for durable consistency, and the
-    ``weaksim`` check replays the walk's schedule against the
-    crash-free automaton to confirm the crash steps can be erased.
+    Each walk's history is checked for durable consistency, the
+    ``refinement`` check runs it through the run's one acceptor, whose memo
+    all walks share, and the ``weaksim`` check replays the walk's schedule
+    against the crash-free automaton to confirm the crash steps can be
+    erased.
     """
     cfg.validate(_REFERENCE_CHECKS)
     report = CheckReport()
     bounds = OracleBounds.covering(cfg.domain)
+    acceptor = None
+    if "refinement" in cfg.check_set:
+        acceptor = Acceptor(Dtms2Machine(cfg.domain))
     rng = random.Random(cfg.seed)
     start = time.perf_counter()
 
@@ -577,8 +575,8 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
                 report.violations.append(Violation(
                     "opacity", h,
                     {"walk": walk_no, "reason": verdict.reason}))
-        if "refinement" in cfg.check_set:
-            acc = dtms2_accepts(h, cfg.domain)
+        if acceptor is not None:
+            acc = acceptor.accepts(h)
             if not acc.ok:
                 report.violations.append(Violation(
                     "refinement", h,

@@ -178,7 +178,7 @@ def test_A7_forward_simulation_holds_throughout_the_sweep(
     ok = not hard
     _verdict(capsys, "A7", ok,
              f"{len(hard)} hard failures (global relation or empty "
-             f"candidate set); per-transaction relation soft flags "
+             f"candidate set); per-transaction relation soft-flagged steps "
              f"reported separately: {report.txn_rel_flag_count}")
     assert not hard
 

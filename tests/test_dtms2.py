@@ -16,8 +16,10 @@ import random
 
 import pytest
 
+from durastm import dtms2
 from durastm import histories as H
 from durastm.dtms2 import (
+    Acceptor,
     Dtms2Machine,
     compact_history,
     config_for_history,
@@ -273,6 +275,27 @@ def test_config_for_history_infers_bounds() -> None:
     assert dense == (H.inv_begin(1), H.res_begin(1), H.inv_write(1, 0, 1),
                      H.res_write(1), H.inv_read(1, 1), H.res_read(1, 0))
     assert (c.num_txns, c.num_addrs, c.num_vals) == (1, 2, 2)
+
+
+# one acceptor for many histories ------------------------------------------------
+
+@pytest.mark.parametrize("memo_size", [dtms2.MEMO_SIZE, 1])
+def test_one_acceptor_judges_every_history_as_a_fresh_one(
+        monkeypatch, memo_size) -> None:
+    # the memo a run shares must not carry one history's frames into the
+    # verdict on another, whether it holds every frame or almost none
+    monkeypatch.setattr(dtms2, "MEMO_SIZE", memo_size)
+    shared = Acceptor(Dtms2Machine(CFG))
+    assert shared.advance.cache_info().maxsize == memo_size
+    verdicts = set()
+    count = 0
+    for h in H.enumerate_histories(2, 2, 2, max_events=6, max_crashes=1):
+        got = shared.accepts(h)
+        assert got == dtms2_accepts(h, CFG), h
+        verdicts.add(got.ok)
+        count += 1
+    assert count == 4114
+    assert verdicts == {True, False}
 
 
 # random walks ------------------------------------------------------------------

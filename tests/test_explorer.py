@@ -246,3 +246,14 @@ def test_walk_reference_runs_opacity_and_crash_erasure_checks() -> None:
     rep = walk_reference(cfg)
     assert rep.violations == []
     assert rep.histories_explored == 50
+
+
+def test_walk_reference_one_acceptor_accepts_every_walk() -> None:
+    # the run shares one acceptor; each walk is judged again by a fresh one
+    cfg = ExplorationConfig(seed=17, num_walks=200, max_steps=40,
+                            max_crashes=2, checks=("refinement",))
+    walks: list[H.History] = []
+    rep = walk_reference(cfg, on_history=walks.append)
+    assert rep.violations == [] and rep.histories_explored == 200
+    assert len(walks) == 200 and any(H.CRASH in h for h in walks)
+    assert all(dtms2_accepts(h, cfg.domain).ok for h in walks)

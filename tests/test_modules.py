@@ -3,7 +3,9 @@ private (``_``-prefixed) name of another, or reaches one through a module it
 imported.  What one module needs from another is public API.  And no
 module-level name of the package is dead: something in the source, the
 tests, the demos or the benchmark mentions it.  Nor is any module-level
-``lru_cache`` unbounded, the interning caches of actions aside."""
+``lru_cache`` unbounded, the interning caches of actions aside; and every
+``lru_cache`` in the source, per-instance memos too, takes its size from a
+named module constant."""
 from __future__ import annotations
 
 import ast
@@ -181,3 +183,108 @@ def test_unbounded_cache_detector_sees_each_form() -> None:
     exec(source, namespace)
     assert _unbounded_caches([namespace]) == [
         "m.act", "m.also_unbounded", "m.unbounded"]
+
+
+# caches sized otherwise on purpose: the interned actions (a finite
+# alphabet) and count_histories' table, which lives for one call
+_CACHE_SIZE_OK = frozenset({
+    "dtml.act", "dtms2.mact", "histories.count_histories.cnt"})
+
+
+def _cache_kind(node: ast.AST) -> str | None:
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+    return name if name in ("lru_cache", "cache") else None
+
+
+def _owner(node: ast.AST, parents: dict) -> str:
+    """Dotted names of the functions and classes around a cache use, the
+    one it decorates included, or the name it is assigned to."""
+    names = []
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif (isinstance(node, ast.Assign) and not names
+              and isinstance(node.targets[0], ast.Name)):
+            names.append(node.targets[0].id)
+    return ".".join(reversed(names))
+
+
+def _unnamed_cache_sizes(modules: dict[str, str],
+                         allowed: frozenset[str]) -> list[str]:
+    """Every ``lru_cache`` or ``cache`` use whose size is not a named
+    constant of its own module: ``maxsize=None``, a literal, a local, the
+    default of a bare ``@lru_cache``.  Uses are named module.owner."""
+    found = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        constants = {name for name, _ in _definitions(source)}
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        decorators = {d for node in ast.walk(tree)
+                      for d in getattr(node, "decorator_list", ())}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _cache_kind(node.func):
+                sizes = [kw.value for kw in node.keywords
+                         if kw.arg == "maxsize"] + node.args[:1]
+                # cache(f) has no size; its argument is the function
+                size = (sizes[0] if sizes
+                        and _cache_kind(node.func) == "lru_cache" else None)
+            elif _cache_kind(node) and node in decorators:
+                size = None  # bare @lru_cache or @cache
+            else:
+                continue
+            if isinstance(size, ast.Name) and size.id in constants:
+                continue
+            name = f"{module}.{_owner(node, parents)}"
+            if name not in allowed:
+                found.append(f"{name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_every_cache_is_sized_by_a_named_constant() -> None:
+    # a per-instance memo lives as long as its owner, for the explorer's
+    # acceptor a whole run, which the module-level test cannot see
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert "MEMO_SIZE" in modules["dtms2"]
+    assert _unnamed_cache_sizes(modules, _CACHE_SIZE_OK) == []
+
+
+def test_cache_size_detector_sees_each_form() -> None:
+    source = ("import functools\n"
+              "from functools import lru_cache, cache\n"
+              "SIZE = 64\n"
+              "@lru_cache(maxsize=None)\n"
+              "def unbounded(x): return x\n"
+              "@cache\n"
+              "def also_unbounded(x): return x\n"
+              "@lru_cache\n"
+              "def default_size(x): return x\n"
+              "@functools.lru_cache(maxsize=16)\n"
+              "def literal(x): return x\n"
+              "@functools.lru_cache(SIZE)\n"
+              "def named_positional(x): return x\n"
+              "@lru_cache(maxsize=SIZE)\n"
+              "def named(x): return x\n"
+              "class Memo:\n"
+              "    def __init__(self, n):\n"
+              "        self.local = lru_cache(maxsize=n)(len)\n"
+              "        self.named = lru_cache(maxsize=SIZE)(len)\n"
+              "def outer():\n"
+              "    @lru_cache(maxsize=None)\n"
+              "    def cnt(x): return x\n"
+              "def act(x): return x\n"
+              "act = lru_cache(maxsize=None)(act)\n"
+              "mact = cache(act)\n")
+    everything = _unnamed_cache_sizes({"m": source}, frozenset())
+    assert everything == [
+        "m.Memo.__init__:18", "m.act:24", "m.also_unbounded:6",
+        "m.default_size:8", "m.literal:10", "m.mact:25",
+        "m.outer.cnt:21", "m.unbounded:4"]
+    assert _unnamed_cache_sizes(
+        {"m": source}, frozenset({"m.act", "m.outer.cnt"})) == [
+        "m.Memo.__init__:18", "m.also_unbounded:6", "m.default_size:8",
+        "m.literal:10", "m.mact:25", "m.unbounded:4"]

@@ -8,7 +8,10 @@ completions and block orders for the end-to-end checks.
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from durastm import explorer
 from durastm import histories as H
 from durastm import opacity
 from durastm.opacity import (
@@ -275,6 +278,92 @@ def test_opaque_success_carries_full_witness() -> None:
     v = opaque(h, V01)
     assert v.ok
     assert len(v.sequential_witness) == len(h)
+
+
+# the prefix lemma: only prefixes that end at a read or commit response fail ---
+
+def every_prefix(h, value_domain) -> opacity.Verdict:
+    """Opacity by definition: end_to_end_opaque on every prefix of h,
+    shortest first, up to the first that fails."""
+    for k in range(len(h) + 1):
+        last = end_to_end_opaque(h[:k], value_domain)
+        if not last.ok:
+            break
+    return last
+
+
+def test_may_break_opacity_names_read_and_commit_responses() -> None:
+    breaking = [H.res_read(1, 0), H.res_read(1, 1), H.res_commit(1),
+                H.res_commit_abort(1)]
+    harmless = [H.inv_begin(1), H.res_begin(1), H.inv_read(1, 0),
+                H.res_read_abort(1), H.inv_write(1, 0, 1), H.res_write(1),
+                H.res_write_abort(1), H.inv_commit(1), H.CRASH]
+    assert all(opacity.may_break_opacity(e) for e in breaking)
+    assert not any(opacity.may_break_opacity(e) for e in harmless)
+    # the explorer tests its prefixes by the same predicate
+    assert not hasattr(explorer, "_needs_consistency_check")
+    assert explorer.may_break_opacity is opacity.may_break_opacity
+
+
+def test_opaque_matches_every_prefix_loop_exhaustively() -> None:
+    # 15,657 crash-free histories; equal verdicts carry equal failing
+    # prefixes, reasons and both witnesses
+    verdicts = set()
+    count = 0
+    for domain in ((2, 2, 2), (3, 2, 2)):
+        for h in H.enumerate_histories(*domain, max_events=6, max_crashes=0):
+            ref = every_prefix(h, V01)
+            assert opaque(h, V01) == ref, h
+            verdicts.add(ref.ok)
+            count += 1
+    assert count == 15_657
+    assert verdicts == {True, False}
+
+
+@st.composite
+def txn_histories(draw, num_txns: int = 3, num_addrs: int = 2,
+                  num_vals: int = 3, max_events: int = 12):
+    """Crash-free well-formed histories, one move of H._txn_moves at a
+    time, as enumerate_histories takes them."""
+    status = H.wf_start(num_txns)
+    h: list[H.Event] = []
+    for _ in range(draw(st.integers(0, max_events))):
+        moves = [(t, ev, ns) for t in range(1, num_txns + 1)
+                 for ev, ns in H._txn_moves(t, status[t - 1], num_addrs,
+                                            num_vals)]
+        if not moves:
+            break
+        t, ev, ns = draw(st.sampled_from(moves))
+        h.append(ev)
+        status = status[: t - 1] + (ns,) + status[t:]
+    return tuple(h)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(txn_histories())
+# an aborted commit response breaks opacity too: t2 read what t1 would
+# have committed, and the shortest failing prefix ends at that response
+@example(block(1, ("w", 0, 1), commit=None) + (H.inv_commit(1),)
+         + block(2, ("r", 0, 1), commit=None)
+         + (H.res_commit_abort(1), H.inv_commit(2)))
+def test_opaque_matches_every_prefix_loop_on_random_histories(h) -> None:
+    values = range(3)
+    assert opaque(h, values) == every_prefix(h, values)
+
+
+def test_opaque_raises_where_the_every_prefix_loop_does() -> None:
+    # an ill-formed prefix followed by a crash: the loop fails at the first
+    # so opaque must test it, although it ends at no read or commit response
+    cases = [
+        (H.res_begin(1), H.CRASH),
+        block(1, ("w", 0, 1)) + (H.res_write(1), H.CRASH, H.res_commit(2)),
+        (H.inv_begin(1), H.CRASH),
+    ]
+    for h in cases:
+        with pytest.raises(ValueError) as expected:
+            every_prefix(h, V01)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            opaque(h, V01)
 
 
 # durable opacity -------------------------------------------------------------

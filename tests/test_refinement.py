@@ -281,9 +281,14 @@ def test_broken_pc_table_raises_soft_flags_only(monkeypatch) -> None:
     broken = explore_exhaustive(SOFT_RUN)
     assert (broken.histories_explored, broken.states_visited) == (847, 705)
     assert broken.ok and broken.violations == []
-    assert broken.txn_rel_flag_count == 36
-    assert len(broken.txn_rel_flags) == 10
-    assert broken.txn_rel_flags[0] == "W6(t1): txnRel.pc(t=1)"
+    # soft-flagged steps, the unit of check_forward_sim's soft_flag_count,
+    # and the distinct "action: clause" texts of the whole run
+    assert broken.txn_rel_flag_count == 24
+    assert broken.txn_rel_flags == tuple(
+        f"{a}: txnRel.{clause}(t={t})"
+        for a, t in (("W6(t1)", 1), ("invBegin(t2)", 1),
+                     ("W6(t2)", 2), ("invBegin(t1)", 2))
+        for clause in ("pc", "writeSetParity"))
     rep = check_forward_sim(CFG, FULL_WRITER)
     assert rep.ok and rep.soft_flag_count == 1
     (flag,) = rep.soft_flags
