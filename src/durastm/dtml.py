@@ -15,6 +15,11 @@ Commit empties the log and bumps the counter back to even.  After a crash a
 recovery routine replays the undo log (write back, flush, delete) and
 resets the counter; no transaction may begin until recovery finishes.
 
+Each machine builds its action tables once, from its domain, and both
+``enabled`` and ``step`` read them: ``step`` accepts exactly the actions
+that ``enabled`` lists.  Successor states are built field by field; the
+memory and the undo log change only through their ``nvm`` methods.
+
 Mutations switch off one durability safeguard each, so that checkers can be
 shown to catch the resulting bugs:
 
@@ -48,9 +53,6 @@ from .nvm import MemoryPair, UndoLog
 
 MUTATIONS = ("skip_flush_W7", "skip_undo_log", "skip_log_clear_E2")
 
-_RECOVERY_STEPS = frozenset({"C1", "C2", "C3", "C4", "C5", "C6"})
-
-
 @dataclass(frozen=True, order=True)
 class DtmlAction:
     """One atomic step: an external event boundary, an algorithm line, a
@@ -76,8 +78,8 @@ class DtmlAction:
 def act(kind: str, tx: int | None = None, *, addr: int | None = None,
         val: int | None = None) -> DtmlAction:
     """The one (immutable) action with these fields: a domain's alphabet is
-    finite, so ``enabled`` hands out shared instances and the guard in
-    ``step`` mostly matches on identity."""
+    finite, so the machine's action tables hold shared instances, and
+    ``step`` finds an action that ``enabled`` handed out by identity."""
     return DtmlAction(kind, tx, addr, val)
 
 
@@ -98,8 +100,43 @@ class DtmlState(NamedTuple):
     rec_val: int | None
 
 
+def _txn_table(t: int, addrs: range,
+               vals: range) -> dict[str, tuple[DtmlAction, ...]]:
+    """Transaction t's enabled actions at each control point, where they do
+    not depend on the state; at R2 and W2, those when validation passes."""
+    table = {pc: (act(pc, t),)
+             for pc in ("B1", "B2", "R1", "R2", "W1", "W2", "W3", "W4", "W5",
+                        "W6", "W7", "E1", "E2", "E3")}
+    table["NotStarted"] = (act("invBegin", t),)
+    table["BeginResp"] = (act("resBegin", t),)
+    table["Idle"] = (tuple(act("invRead", t, addr=a) for a in addrs)
+                     + tuple(act("invWrite", t, addr=a, val=v)
+                             for a in addrs for v in vals)
+                     + (act("invCommit", t),))
+    table["ReadResp"] = (act("resRead", t),)
+    table["WriteResp"] = (act("resWrite", t),)
+    table["CommitResp"] = (act("resCommit", t),)
+    table["Committed"] = table["Aborted"] = ()
+    return table
+
+
+def _with(fields: tuple, i: int, value) -> tuple:
+    """The per-transaction tuple with entry i replaced."""
+    return fields[:i] + (value,) + fields[i + 1:]
+
+
 class DtmlMachine:
-    """Transition relation of the algorithm, optionally with one mutation."""
+    """Transition relation of the algorithm, optionally with one mutation.
+
+    The action tables are built once, from the domain: for each transaction
+    the actions enabled at each control point, the recovery actions, and
+    the flushes and the crash, which are always enabled.  ``enabled`` puts
+    its list together from the tables and ``step`` checks its action
+    against the same tables, so enabledness has one definition.  Only four
+    cases look at the state: a begin waits for recovery to finish, the
+    validations at R2 and W2 compare the snapshot with the counter, and
+    recovery at C2 may undo any logged entry.
+    """
 
     def __init__(self, domain: Domain, mutation: str | None = None):
         if mutation is not None and mutation not in MUTATIONS:
@@ -107,6 +144,17 @@ class DtmlMachine:
                 f"unknown mutation {mutation!r}; expected one of {MUTATIONS}")
         self.domain = domain
         self.mutation = mutation
+        addrs, vals = range(domain.num_addrs), range(domain.num_vals)
+        self._txn_ids = range(1, domain.num_txns + 1)
+        self._txn_acts = tuple(_txn_table(t, addrs, vals)
+                               for t in self._txn_ids)
+        self._rec_acts = {pc: (act(pc),)
+                          for pc in ("C1", "C3", "C4", "C5", "C6")}
+        self._rec_acts["RecIdle"] = ()
+        self._undo_acts = {(a, v): act("C2", addr=a, val=v)
+                           for a in addrs for v in vals}
+        self._tail = (tuple(act("flush", addr=a) for a in addrs)
+                      + (act("crash"),))
 
     # -- state construction ----------------------------------------------
 
@@ -130,86 +178,45 @@ class DtmlMachine:
 
     def enabled(self, s: DtmlState) -> list[DtmlAction]:
         out: list[DtmlAction] = []
-        for t in range(1, self.domain.num_txns + 1):
-            out.extend(self._enabled_for(s, t))
-        out.extend(self._enabled_recovery(s))
-        for a in range(self.domain.num_addrs):
-            out.append(act("flush", addr=a))
-        out.append(act("crash"))
+        for i in range(len(s.pc)):
+            out += self._txn_enabled(s, i)
+        out += self._recovery_enabled(s)
+        out += self._tail
         return out
 
-    def _enabled_for(self, s: DtmlState, t: int) -> list[DtmlAction]:
-        pc = s.pc[t - 1]
-        i = t - 1
+    def _txn_enabled(self, s: DtmlState, i: int) -> tuple[DtmlAction, ...]:
+        pc = s.pc[i]
+        table = self._txn_acts[i]
         if pc == "NotStarted":
-            if s.syst_pc == "RecIdle":
-                return [act("invBegin", t)]
-            return []
-        if pc in ("B1", "B2", "R1", "W1", "W3", "W4", "W5", "W6", "W7",
-                  "E1", "E2", "E3"):
-            return [act(pc, t)]
-        if pc == "BeginResp":
-            return [act("resBegin", t)]
-        if pc == "Idle":
-            outs = [act("invRead", t, addr=a)
-                    for a in range(self.domain.num_addrs)]
-            outs += [act("invWrite", t, addr=a, val=v)
-                     for a in range(self.domain.num_addrs)
-                     for v in range(self.domain.num_vals)]
-            outs.append(act("invCommit", t))
-            return outs
-        if pc == "R2":
-            # validation: the internal step passes only if the snapshot
-            # still matches; otherwise the abort response is the only move
-            return [act("R2", t)] if s.glb == s.loc[i] else [act("resRead", t)]
-        if pc == "ReadResp":
-            return [act("resRead", t)]
-        if pc == "W2":
-            return [act("W2", t)] if s.glb == s.loc[i] else [act("resWrite", t)]
-        if pc == "WriteResp":
-            return [act("resWrite", t)]
-        if pc == "CommitResp":
-            return [act("resCommit", t)]
-        return []  # Committed / Aborted
+            # no transaction begins before recovery has finished
+            return table[pc] if s.syst_pc == "RecIdle" else ()
+        if (pc == "R2" or pc == "W2") and s.glb != s.loc[i]:
+            # validation fails: the abort response is the only move
+            return table["ReadResp" if pc == "R2" else "WriteResp"]
+        return table[pc]
 
-    def _enabled_recovery(self, s: DtmlState) -> list[DtmlAction]:
-        pc = s.syst_pc
-        if pc == "RecIdle":
-            return []
-        if pc == "C2":
-            return [act("C2", addr=a, val=v) for a, v in s.log.items()]
-        return [act(pc)]
-
-    def _is_enabled(self, s: DtmlState, a: DtmlAction) -> bool:
-        if a.kind == "crash":
-            return True
-        if a.kind == "flush":
-            return a.addr is not None and 0 <= a.addr < self.domain.num_addrs
-        if a.kind in _RECOVERY_STEPS:
-            if a.kind != s.syst_pc:
-                return False
-            if a.kind == "C2":
-                return (a.addr, a.val) in s.log.items()
-            return True
-        t = a.tx
-        if t is None or not 1 <= t <= self.domain.num_txns:
-            return False
-        return a in self._enabled_for(s, t)
+    def _recovery_enabled(self, s: DtmlState):
+        if s.syst_pc == "C2":
+            return [self._undo_acts[e] for e in s.log.items()]
+        return self._rec_acts[s.syst_pc]
 
     # -- transition --------------------------------------------------------
 
     def step(self, s: DtmlState, a: DtmlAction) -> tuple[DtmlState, Event | None]:
         """Apply one enabled action; returns the successor state and the
         emitted external event (None for internal steps)."""
-        if not self._is_enabled(s, a):
-            raise ValueError(f"action {a} is not enabled")
-        if a.kind == "crash":
-            return self._apply_crash(s), CRASH
-        if a.kind == "flush":
-            return s._replace(mem=s.mem.flush(a.addr)), None
-        if a.kind in _RECOVERY_STEPS:
+        t = a.tx
+        if t is None:
+            if a not in self._tail and a not in self._recovery_enabled(s):
+                raise ValueError(f"action {a} is not enabled")
+            if a.kind == "crash":
+                return self._apply_crash(s), CRASH
+            if a.kind == "flush":
+                return DtmlState(s.glb, s.mem.flush(a.addr), *s[2:]), None
             return self._apply_recovery(s, a), None
-        return self._apply_txn(s, a)
+        if t not in self._txn_ids or a not in self._txn_enabled(s, t - 1):
+            raise ValueError(f"action {a} is not enabled")
+        return self._apply_txn(s, a, t - 1)
 
     def run(self, schedule) -> History:
         """Drive the machine from its initial state; returns the history."""
@@ -225,136 +232,113 @@ class DtmlMachine:
         return tuple(events)
 
     def _apply_crash(self, s: DtmlState) -> DtmlState:
-        pcs, locs, addrs, vals = [], [], [], []
-        for i, pc in enumerate(s.pc):
-            if pc in ("NotStarted", "Committed", "Aborted"):
-                pcs.append(pc)
-                locs.append(s.loc[i])
-                addrs.append(s.in_addr[i])
-                vals.append(s.in_val[i])
-            else:
-                pcs.append("Aborted")
-                locs.append(0)
-                addrs.append(None)
-                vals.append(None)
-        return s._replace(
-            mem=s.mem.crash_reset(),
-            pc=tuple(pcs),
-            loc=tuple(locs),
-            in_addr=tuple(addrs),
-            in_val=tuple(vals),
-            writer=None,
-            syst_pc="C1",
-            rec_addr=None,
-            rec_val=None,
-        )
+        pc, loc, in_addr, in_val = s.pc, s.loc, s.in_addr, s.in_val
+        for i, p in enumerate(s.pc):
+            if p not in ("NotStarted", "Committed", "Aborted"):
+                # a live transaction aborts and loses its snapshot and buffer
+                pc, loc = _with(pc, i, "Aborted"), _with(loc, i, 0)
+                in_addr, in_val = _with(in_addr, i, None), _with(in_val, i, None)
+        return DtmlState(s.glb, s.mem.crash_reset(), s.log, pc, loc, in_addr,
+                         in_val, None, "C1", None, None)
 
     def _apply_recovery(self, s: DtmlState, a: DtmlAction) -> DtmlState:
+        (glb, mem, log, pc, loc, in_addr, in_val, writer, syst_pc, rec_addr,
+         rec_val) = s
         k = a.kind
         if k == "C1":
-            return s._replace(syst_pc="C2" if not s.log.is_empty() else "C6")
-        if k == "C2":
-            return s._replace(rec_addr=a.addr, rec_val=a.val, syst_pc="C3")
-        if k == "C3":
-            return s._replace(mem=s.mem.write(s.rec_addr, s.rec_val),
-                              syst_pc="C4")
-        if k == "C4":
-            return s._replace(mem=s.mem.flush(s.rec_addr), syst_pc="C5")
-        if k == "C5":
-            return s._replace(log=s.log.pdelete(s.rec_addr, s.rec_val),
-                              rec_addr=None, rec_val=None, syst_pc="C1")
-        # C6
-        return s._replace(glb=0, syst_pc="RecIdle")
+            syst_pc = "C2" if not log.is_empty() else "C6"
+        elif k == "C2":
+            syst_pc, rec_addr, rec_val = "C3", a.addr, a.val
+        elif k == "C3":
+            syst_pc, mem = "C4", mem.write(rec_addr, rec_val)
+        elif k == "C4":
+            syst_pc, mem = "C5", mem.flush(rec_addr)
+        elif k == "C5":
+            syst_pc, log = "C1", log.pdelete(rec_addr, rec_val)
+            rec_addr = rec_val = None
+        else:  # C6
+            syst_pc, glb = "RecIdle", 0
+        return DtmlState(glb, mem, log, pc, loc, in_addr, in_val, writer,
+                         syst_pc, rec_addr, rec_val)
 
-    def _apply_txn(self, s: DtmlState, a: DtmlAction) -> tuple[DtmlState, Event | None]:
+    def _apply_txn(self, s: DtmlState, a: DtmlAction,
+                   i: int) -> tuple[DtmlState, Event | None]:
+        (glb, mem, log, pc, loc, in_addr, in_val, writer, syst_pc, rec_addr,
+         rec_val) = s
         t = a.tx
-        i = t - 1
         k = a.kind
+        ev = None
+        if k == "invBegin":
+            nxt, ev = "B1", inv_begin(t)
+        elif k == "B1":
+            nxt, loc = "B2", _with(loc, i, glb)
+        elif k == "B2":
+            nxt = "BeginResp" if loc[i] % 2 == 0 else "B1"
+        elif k == "resBegin":
+            nxt, ev = "Idle", res_begin(t)
 
-        def at(pc: str, **fields) -> DtmlState:
-            upd = dict(fields)
-            upd["pc"] = s.pc[:i] + (pc,) + s.pc[i + 1:]
+        elif k == "invRead":
+            nxt, ev = "R1", inv_read(t, a.addr)
+            in_addr, in_val = _with(in_addr, i, a.addr), _with(in_val, i, None)
+        elif k == "R1":
+            nxt, in_val = "R2", _with(in_val, i, mem.read(in_addr[i]))
+        elif k == "R2":
+            nxt = "ReadResp"
+        elif k == "resRead":
+            if pc[i] == "ReadResp":
+                nxt, ev = "Idle", res_read(t, in_val[i])
+            else:
+                nxt, ev = "Aborted", res_read_abort(t)
+
+        elif k == "invWrite":
+            nxt, ev = "W1", inv_write(t, a.addr, a.val)
+            in_addr, in_val = _with(in_addr, i, a.addr), _with(in_val, i, a.val)
+        elif k == "W1":
+            nxt = "W2" if loc[i] % 2 == 0 else "W4"
+        elif k == "W2":
+            nxt, glb, writer = "W3", loc[i] + 1, t
+        elif k == "W3":
+            nxt, loc = "W4", _with(loc, i, loc[i] + 1)
+        elif k == "W4":
+            # only the first write to an address saves its old value
+            skip = (self.mutation == "skip_undo_log"
+                    or log.contains_addr(in_addr[i]))
+            nxt = "W6" if skip else "W5"
+        elif k == "W5":
+            nxt, log = "W6", log.pinsert(in_addr[i], mem.read(in_addr[i]))
+        elif k == "W6":
+            nxt, mem = "W7", mem.write(in_addr[i], in_val[i])
+        elif k == "W7":
+            nxt = "WriteResp"
+            if self.mutation != "skip_flush_W7":
+                mem = mem.flush(in_addr[i])
+        elif k == "resWrite":
+            if pc[i] == "WriteResp":
+                nxt, ev = "Idle", res_write(t)
+            else:
+                nxt, ev = "Aborted", res_write_abort(t)
+
+        elif k == "invCommit":
+            nxt, ev = "E1", inv_commit(t)
+        elif k == "E1":
+            nxt = "E2" if loc[i] % 2 == 1 else "CommitResp"
+        elif k == "E2":
+            nxt = "E3"
+            if self.mutation != "skip_log_clear_E2":
+                log = log.pempty()
+        elif k == "E3":
+            nxt, glb, writer = "CommitResp", loc[i] + 1, None
+        else:  # resCommit
+            nxt, ev = "Committed", res_commit(t)
+
+        if nxt in ("Idle", "Committed", "Aborted"):
             # entering a resting or terminal control point clears the
             # operation buffer; terminal points also drop the snapshot
-            if pc in ("Idle", "Committed", "Aborted"):
-                upd.setdefault("in_addr", s.in_addr[:i] + (None,) + s.in_addr[i + 1:])
-                upd.setdefault("in_val", s.in_val[:i] + (None,) + s.in_val[i + 1:])
-            if pc in ("Committed", "Aborted"):
-                upd.setdefault("loc", s.loc[:i] + (0,) + s.loc[i + 1:])
-            return s._replace(**upd)
-
-        def set_loc(v: int):
-            return s.loc[:i] + (v,) + s.loc[i + 1:]
-
-        def set_in(addr=..., val=...):
-            out = {}
-            if addr is not ...:
-                out["in_addr"] = s.in_addr[:i] + (addr,) + s.in_addr[i + 1:]
-            if val is not ...:
-                out["in_val"] = s.in_val[:i] + (val,) + s.in_val[i + 1:]
-            return out
-
-        if k == "invBegin":
-            return at("B1"), inv_begin(t)
-        if k == "B1":
-            return at("B2", loc=set_loc(s.glb)), None
-        if k == "B2":
-            return at("BeginResp" if s.loc[i] % 2 == 0 else "B1"), None
-        if k == "resBegin":
-            return at("Idle"), res_begin(t)
-
-        if k == "invRead":
-            return at("R1", **set_in(addr=a.addr, val=None)), inv_read(t, a.addr)
-        if k == "R1":
-            return at("R2", **set_in(val=s.mem.read(s.in_addr[i]))), None
-        if k == "R2":
-            return at("ReadResp"), None
-        if k == "resRead":
-            if s.pc[i] == "ReadResp":
-                return at("Idle"), res_read(t, s.in_val[i])
-            return at("Aborted"), res_read_abort(t)
-
-        if k == "invWrite":
-            return at("W1", **set_in(addr=a.addr, val=a.val)), inv_write(t, a.addr, a.val)
-        if k == "W1":
-            return at("W2" if s.loc[i] % 2 == 0 else "W4"), None
-        if k == "W2":
-            return at("W3", glb=s.loc[i] + 1, writer=t), None
-        if k == "W3":
-            return at("W4", loc=set_loc(s.loc[i] + 1)), None
-        if k == "W4":
-            if self.mutation == "skip_undo_log":
-                return at("W6"), None
-            already = s.log.contains_addr(s.in_addr[i])
-            return at("W6" if already else "W5"), None
-        if k == "W5":
-            new_log = s.log.pinsert(s.in_addr[i], s.mem.read(s.in_addr[i]))
-            return at("W6", log=new_log), None
-        if k == "W6":
-            return at("W7", mem=s.mem.write(s.in_addr[i], s.in_val[i])), None
-        if k == "W7":
-            if self.mutation == "skip_flush_W7":
-                return at("WriteResp"), None
-            return at("WriteResp", mem=s.mem.flush(s.in_addr[i])), None
-        if k == "resWrite":
-            if s.pc[i] == "WriteResp":
-                return at("Idle"), res_write(t)
-            return at("Aborted"), res_write_abort(t)
-
-        if k == "invCommit":
-            return at("E1"), inv_commit(t)
-        if k == "E1":
-            return at("E2" if s.loc[i] % 2 == 1 else "CommitResp"), None
-        if k == "E2":
-            if self.mutation == "skip_log_clear_E2":
-                return at("E3"), None
-            return at("E3", log=s.log.pempty()), None
-        if k == "E3":
-            return at("CommitResp", glb=s.loc[i] + 1, writer=None), None
-        if k == "resCommit":
-            return at("Committed"), res_commit(t)
-
-        raise ValueError(f"unknown action kind {k!r}")
+            in_addr, in_val = _with(in_addr, i, None), _with(in_val, i, None)
+            if nxt != "Idle":
+                loc = _with(loc, i, 0)
+        return DtmlState(glb, mem, log, _with(pc, i, nxt), loc, in_addr,
+                         in_val, writer, syst_pc, rec_addr, rec_val), ev
 
     # -- reporting -----------------------------------------------------------
 

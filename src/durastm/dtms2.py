@@ -17,6 +17,10 @@ transaction, a begin point, a read set and a write set.
 An abort response may answer any pending read, write, or commit.  Begins
 never answer with an abort, matching the event vocabulary of histories.
 
+Each machine builds its action tables once, from its domain, and both
+``enabled`` and ``step`` read them: ``step`` accepts exactly the actions
+that ``enabled`` lists.  Successor states are built field by field.
+
 ``dtms2_accepts`` decides membership of a history in the automaton's traces
 by subset construction, exploring internal transitions between events.
 The non-durable variant (``durable=False``) is the same automaton without
@@ -58,9 +62,6 @@ _INTERNAL = frozenset({"doRead", "doWrite", "doCommitRO", "doCommitW"})
 # entries per acceptor step cache; bounds memory on long sweeps, where an
 # unbounded memo doubled peak RSS for no further speed-up
 MEMO_SIZE = 1024
-_PENDING_PCS = frozenset(
-    {"readPending", "readResp", "writePending", "writeResp", "commitPending"}
-)
 
 
 # the benchmark's workloads (bench/workloads.py) build their domain under
@@ -96,8 +97,8 @@ class Dtms2Action:
 def mact(kind: str, tx: int | None = None, *, addr: int | None = None,
          val: int | None = None, idx: int | None = None) -> Dtms2Action:
     """The one (immutable) action with these fields: a domain's alphabet is
-    finite, so ``enabled`` hands out shared instances and the guard in
-    ``step`` mostly matches on identity."""
+    finite, so the machine's action tables hold shared instances, and
+    ``step`` finds an action that ``enabled`` handed out by identity."""
     return Dtms2Action(kind, tx, addr, val, idx)
 
 
@@ -132,10 +133,71 @@ class Dtms2State(NamedTuple):
     cur_val: tuple[int | None, ...]
 
 
+def _with(fields: tuple, i: int, value) -> tuple:
+    """The per-transaction tuple with entry i replaced."""
+    return fields[:i] + (value,) + fields[i + 1:]
+
+
+def _valid(s: Dtms2State, i: int, by_idx: tuple) -> list:
+    """The actions of by_idx, indexed by snapshot, whose snapshot
+    transaction i may use: not older than its begin point, and in agreement
+    with its whole read set."""
+    rd = s.rd_set[i]
+    return [by_idx[n] for n in range(s.begin_idx[i], len(s.mems))
+            if _subset_of(rd, s.mems[n])]
+
+
+def _txn_table(t: int, addrs: range,
+               vals: range) -> dict[str, tuple[Dtms2Action, ...]]:
+    """Transaction t's enabled actions at each control point; at
+    readPending, those of a read that its own write set answers, and at
+    commitPending, the writer's commit and the abort response."""
+    abort = mact("abortResp", t)
+    return {
+        "notStarted": (mact("invBegin", t),),
+        "beginPending": (mact("resBegin", t),),
+        "ready": (tuple(mact("invRead", t, addr=a) for a in addrs)
+                  + tuple(mact("invWrite", t, addr=a, val=v)
+                          for a in addrs for v in vals)
+                  + (mact("invCommit", t),)),
+        "readPending": (mact("doRead", t), abort),
+        "readResp": (mact("resRead", t), abort),
+        "writePending": (mact("doWrite", t), abort),
+        "writeResp": (mact("resWrite", t), abort),
+        "commitPending": (mact("doCommitW", t), abort),
+        "commitResp": (mact("resCommit", t),),
+        "committed": (),
+        "aborted": (),
+    }
+
+
 class Dtms2Machine:
+    """Transition relation of the automaton, with or without crashes.
+
+    The action tables are built once, from the domain: for each transaction
+    the actions enabled at each control point, and its reads and read-only
+    commits for each snapshot index.  ``enabled`` puts its list together
+    from the tables and ``step`` checks its action against the same tables,
+    so enabledness has one definition.  Only readPending and commitPending
+    look at the state, for the snapshot indices that agree with the read set.
+    """
+
     def __init__(self, domain: Domain, durable: bool = True):
         self.domain = domain
         self.durable = durable
+        addrs, vals = range(domain.num_addrs), range(domain.num_vals)
+        self._txn_ids = range(1, domain.num_txns + 1)
+        self._txn_acts = tuple(_txn_table(t, addrs, vals)
+                               for t in self._txn_ids)
+        # every transaction appends at most one snapshot, and a crash
+        # truncates them to one, so indices stay below num_txns + 1
+        idxs = range(domain.num_txns + 1)
+        self._reads = tuple(tuple(mact("doRead", t, idx=n) for n in idxs)
+                            for t in self._txn_ids)
+        self._ro_commits = tuple(
+            tuple(mact("doCommitRO", t, idx=n) for n in idxs)
+            for t in self._txn_ids)
+        self._tail = (mact("crash"),) if durable else ()
 
     def initial(self) -> Dtms2State:
         n = self.domain.num_txns
@@ -151,60 +213,31 @@ class Dtms2Machine:
 
     # -- enabledness -------------------------------------------------------
 
-    def valid_idx(self, s: Dtms2State, t: int, n: int) -> bool:
-        i = t - 1
-        return (s.begin_idx[i] <= n < len(s.mems)
-                and _subset_of(s.rd_set[i], s.mems[n]))
-
     def enabled(self, s: Dtms2State) -> list[Dtms2Action]:
         out: list[Dtms2Action] = []
-        for t in range(1, self.domain.num_txns + 1):
-            out.extend(self._enabled_for(s, t))
-        if self.durable:
-            out.append(mact("crash"))
+        for i in range(len(s.pc)):
+            out += self._txn_enabled(s, i)
+        out += self._tail
         return out
 
-    def _enabled_for(self, s: Dtms2State, t: int) -> list[Dtms2Action]:
-        i = t - 1
+    def _txn_enabled(self, s: Dtms2State, i: int):
         pc = s.pc[i]
-        out: list[Dtms2Action] = []
-        if pc == "notStarted":
-            return [mact("invBegin", t)]
-        if pc == "beginPending":
-            return [mact("resBegin", t)]
-        if pc == "ready":
-            out = [mact("invRead", t, addr=a)
-                   for a in range(self.domain.num_addrs)]
-            out += [mact("invWrite", t, addr=a, val=v)
-                    for a in range(self.domain.num_addrs)
-                    for v in range(self.domain.num_vals)]
-            out.append(mact("invCommit", t))
-            return out
+        table = self._txn_acts[i]
         if pc == "readPending":
             if _get(s.wr_set[i], s.cur_addr[i]) is not None:
-                out.append(mact("doRead", t))
-            else:
-                out += [mact("doRead", t, idx=n) for n in range(len(s.mems))
-                        if self.valid_idx(s, t, n)]
-        elif pc == "readResp":
-            out.append(mact("resRead", t))
-        elif pc == "writePending":
-            out.append(mact("doWrite", t))
-        elif pc == "writeResp":
-            out.append(mact("resWrite", t))
-        elif pc == "commitPending":
-            if not s.wr_set[i]:
-                out += [mact("doCommitRO", t, idx=n)
-                        for n in range(len(s.mems)) if self.valid_idx(s, t, n)]
+                return table[pc]
+            _, abort = table[pc]
+            out = _valid(s, i, self._reads[i])
+            out.append(abort)
+            return out
+        if pc == "commitPending":
+            commit_w, abort = table[pc]
+            out = [] if s.wr_set[i] else _valid(s, i, self._ro_commits[i])
             if _subset_of(s.rd_set[i], s.mems[-1]):
-                out.append(mact("doCommitW", t))
-        elif pc == "commitResp":
-            return [mact("resCommit", t)]
-        else:  # committed / aborted
-            return []
-        if pc in _PENDING_PCS:
-            out.append(mact("abortResp", t))
-        return out
+                out.append(commit_w)
+            out.append(abort)
+            return out
+        return table[pc]
 
     # -- transition --------------------------------------------------------
 
@@ -212,98 +245,86 @@ class Dtms2Machine:
         if a.kind == "crash":
             if not self.durable:
                 raise ValueError("crash is not part of the non-durable automaton")
+            if a not in self._tail:
+                raise ValueError(f"action {a} is not enabled")
             return self._apply_crash(s), CRASH
-        if a.tx is None or not 1 <= a.tx <= self.domain.num_txns:
+        t = a.tx
+        if t not in self._txn_ids:
             raise ValueError(f"action {a} names no valid transaction")
-        if a not in self._enabled_for(s, a.tx):
+        if a not in self._txn_enabled(s, t - 1):
             raise ValueError(f"action {a} is not enabled")
-        return self._apply_txn(s, a)
+        return self._apply_txn(s, a, t - 1)
 
     def _apply_crash(self, s: Dtms2State) -> Dtms2State:
         n = self.domain.num_txns
         pcs = tuple(pc if pc in ("notStarted", "committed") else "aborted"
                     for pc in s.pc)
-        return Dtms2State(
-            mems=(s.mems[-1],),
-            pc=pcs,
-            begin_idx=(0,) * n,
-            rd_set=((),) * n,
-            wr_set=((),) * n,
-            cur_addr=(None,) * n,
-            cur_val=(None,) * n,
-        )
+        return Dtms2State((s.mems[-1],), pcs, (0,) * n, ((),) * n, ((),) * n,
+                          (None,) * n, (None,) * n)
 
-    def _apply_txn(self, s: Dtms2State, a: Dtms2Action) -> tuple[Dtms2State, Event | None]:
+    def _apply_txn(self, s: Dtms2State, a: Dtms2Action,
+                   i: int) -> tuple[Dtms2State, Event | None]:
+        mems, pc, begin_idx, rd_set, wr_set, cur_addr, cur_val = s
         t = a.tx
-        i = t - 1
         k = a.kind
-
-        def upd1(field: tuple, value) -> tuple:
-            return field[:i] + (value,) + field[i + 1:]
-
-        def at(pc: str, **fields) -> Dtms2State:
-            fields["pc"] = upd1(s.pc, pc)
-            if pc in ("ready", "committed", "aborted"):
-                fields.setdefault("cur_addr", upd1(s.cur_addr, None))
-                fields.setdefault("cur_val", upd1(s.cur_val, None))
-            if pc in ("committed", "aborted"):
-                fields.setdefault("begin_idx", upd1(s.begin_idx, 0))
-                fields.setdefault("rd_set", upd1(s.rd_set, ()))
-                fields.setdefault("wr_set", upd1(s.wr_set, ()))
-            return s._replace(**fields)
-
+        ev = None
         if k == "invBegin":
-            return at("beginPending",
-                      begin_idx=upd1(s.begin_idx, len(s.mems) - 1)), inv_begin(t)
-        if k == "resBegin":
-            return at("ready"), res_begin(t)
+            nxt, ev = "beginPending", inv_begin(t)
+            begin_idx = _with(begin_idx, i, len(mems) - 1)
+        elif k == "resBegin":
+            nxt, ev = "ready", res_begin(t)
 
-        if k == "invRead":
-            return at("readPending", cur_addr=upd1(s.cur_addr, a.addr)), \
-                inv_read(t, a.addr)
-        if k == "doRead":
-            addr = s.cur_addr[i]
-            own = _get(s.wr_set[i], addr)
-            if own is not None:
-                return at("readResp", cur_val=upd1(s.cur_val, own)), None
-            v = s.mems[a.idx][addr]
-            return at("readResp", cur_val=upd1(s.cur_val, v),
-                      rd_set=upd1(s.rd_set, _put(s.rd_set[i], addr, v))), None
-        if k == "resRead":
-            return at("ready"), res_read(t, s.cur_val[i])
+        elif k == "invRead":
+            nxt, ev = "readPending", inv_read(t, a.addr)
+            cur_addr = _with(cur_addr, i, a.addr)
+        elif k == "doRead":
+            addr = cur_addr[i]
+            v = _get(wr_set[i], addr)
+            if v is None:
+                # a read its own write set does not answer joins the read set
+                v = mems[a.idx][addr]
+                rd_set = _with(rd_set, i, _put(rd_set[i], addr, v))
+            nxt, cur_val = "readResp", _with(cur_val, i, v)
+        elif k == "resRead":
+            nxt, ev = "ready", res_read(t, cur_val[i])
 
-        if k == "invWrite":
-            return at("writePending", cur_addr=upd1(s.cur_addr, a.addr),
-                      cur_val=upd1(s.cur_val, a.val)), inv_write(t, a.addr, a.val)
-        if k == "doWrite":
-            new = _put(s.wr_set[i], s.cur_addr[i], s.cur_val[i])
-            return at("writeResp", wr_set=upd1(s.wr_set, new)), None
-        if k == "resWrite":
-            return at("ready"), res_write(t)
+        elif k == "invWrite":
+            nxt, ev = "writePending", inv_write(t, a.addr, a.val)
+            cur_addr, cur_val = _with(cur_addr, i, a.addr), _with(cur_val, i, a.val)
+        elif k == "doWrite":
+            nxt = "writeResp"
+            wr_set = _with(wr_set, i, _put(wr_set[i], cur_addr[i], cur_val[i]))
+        elif k == "resWrite":
+            nxt, ev = "ready", res_write(t)
 
-        if k == "invCommit":
-            return at("commitPending"), inv_commit(t)
-        if k == "doCommitRO":
-            return at("commitResp"), None
-        if k == "doCommitW":
-            snap = list(s.mems[-1])
-            for addr, v in s.wr_set[i]:
+        elif k == "invCommit":
+            nxt, ev = "commitPending", inv_commit(t)
+        elif k == "doCommitRO":
+            nxt = "commitResp"
+        elif k == "doCommitW":
+            snap = list(mems[-1])
+            for addr, v in wr_set[i]:
                 snap[addr] = v
-            return at("commitResp", mems=s.mems + (tuple(snap),)), None
-        if k == "resCommit":
-            return at("committed"), res_commit(t)
+            nxt, mems = "commitResp", mems + (tuple(snap),)
+        elif k == "resCommit":
+            nxt, ev = "committed", res_commit(t)
 
-        if k == "abortResp":
-            pc = s.pc[i]
-            if pc in ("readPending", "readResp"):
-                e = res_read_abort(t)
-            elif pc in ("writePending", "writeResp"):
-                e = res_write_abort(t)
+        else:  # abortResp
+            nxt = "aborted"
+            if pc[i] in ("readPending", "readResp"):
+                ev = res_read_abort(t)
+            elif pc[i] in ("writePending", "writeResp"):
+                ev = res_write_abort(t)
             else:
-                e = res_commit_abort(t)
-            return at("aborted"), e
+                ev = res_commit_abort(t)
 
-        raise ValueError(f"unknown action kind {k!r}")
+        if nxt in ("ready", "committed", "aborted"):
+            cur_addr, cur_val = _with(cur_addr, i, None), _with(cur_val, i, None)
+            if nxt != "ready":
+                begin_idx = _with(begin_idx, i, 0)
+                rd_set, wr_set = _with(rd_set, i, ()), _with(wr_set, i, ())
+        return Dtms2State(mems, _with(pc, i, nxt), begin_idx, rd_set, wr_set,
+                          cur_addr, cur_val), ev
 
 
 # -- acceptance ---------------------------------------------------------------

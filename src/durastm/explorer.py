@@ -135,7 +135,8 @@ class ExplorationConfig:
                 d.num_txns > 3 or d.num_addrs > 2 or d.num_vals > 2):
             raise ValueError(
                 "exhaustive exploration beyond 3 transactions / 2 addresses"
-                " / 2 values explodes; pass force=True to override")
+                " / 2 values explodes; override with --force"
+                " (force=True in ExplorationConfig)")
 
     @property
     def dedup_policy(self) -> str:

@@ -49,7 +49,8 @@ def test_bad_config_is_usage_error(capsys) -> None:
     # exhaustive bounds guard without --force
     assert main(["explore", "--txns", "4", "--max-steps", "4"]) == 2
     err = capsys.readouterr().err
-    assert "force" in err
+    # the message names the flag a command-line user can pass
+    assert "--force" in err
     assert main(["explore", "--txns", "4", "--max-steps", "4",
                  "--force"]) == 0
 
