@@ -11,7 +11,7 @@ Run:  python3 demos/04_reference_automaton.py
 import random
 
 from durastm import histories as H
-from durastm.dtms2 import dtms2_accepts, dtms2_random_walk
+from durastm.dtms2 import Dtms2Machine, dtms2_accepts, dtms2_random_walk
 from durastm.refinement import check_weak_sim
 
 domain = H.Domain(num_txns=2, num_addrs=2, num_vals=2)
@@ -33,13 +33,15 @@ for name, h in (("post-crash read of committed value", good),
           + ("" if r.ok else f" (first impossible event: index {r.failed_at})"))
 
 print("\n30 seeded walks with up to 2 crashes, each mirrored crash-free:")
+durable = Dtms2Machine(domain)
+crash_free = Dtms2Machine(domain, durable=False)
 rng = random.Random(7)
 crashes = mirrored = 0
 for _ in range(30):
-    history, schedule = dtms2_random_walk(domain, rng, max_steps=30,
+    history, schedule = dtms2_random_walk(durable, rng, max_steps=30,
                                           max_crashes=2)
     crashes += sum(1 for e in history if H.is_crash(e))
-    report = check_weak_sim(domain, schedule)
+    report = check_weak_sim(durable, crash_free, schedule)
     assert report.ok, report.reason
     assert report.target_history == H.ops(history)
     mirrored += 1

@@ -58,7 +58,6 @@ from .histories import (
     res_write_abort,
 )
 
-_INTERNAL = frozenset({"doRead", "doWrite", "doCommitRO", "doCommitW"})
 # entries per acceptor step cache; bounds memory on long sweeps, where an
 # unbounded memo doubled peak RSS for no further speed-up
 MEMO_SIZE = 1024
@@ -147,39 +146,50 @@ def _valid(s: Dtms2State, i: int, by_idx: tuple) -> list:
             if _subset_of(rd, s.mems[n])]
 
 
-def _txn_table(t: int, addrs: range,
-               vals: range) -> dict[str, tuple[Dtms2Action, ...]]:
-    """Transaction t's enabled actions at each control point; at
-    readPending, those of a read that its own write set answers, and at
-    commitPending, the writer's commit and the abort response."""
+def _txn_tables(t: int, addrs: range, vals: range,
+                ) -> tuple[dict[str, tuple[Dtms2Action, ...]],
+                           dict[str, tuple[Dtms2Action, ...]]]:
+    """Transaction t's internal actions, and its enabled actions (internal
+    ones first), at each control point.  At readPending they are those of a
+    read that its own write set answers, and at commitPending the writer's
+    commit; the other reads and commits there depend on the state."""
     abort = mact("abortResp", t)
-    return {
+    internal = {
+        "readPending": (mact("doRead", t),),
+        "writePending": (mact("doWrite", t),),
+        "commitPending": (mact("doCommitW", t),),
+    }
+    external = {
         "notStarted": (mact("invBegin", t),),
         "beginPending": (mact("resBegin", t),),
         "ready": (tuple(mact("invRead", t, addr=a) for a in addrs)
                   + tuple(mact("invWrite", t, addr=a, val=v)
                           for a in addrs for v in vals)
                   + (mact("invCommit", t),)),
-        "readPending": (mact("doRead", t), abort),
+        "readPending": (abort,),
         "readResp": (mact("resRead", t), abort),
-        "writePending": (mact("doWrite", t), abort),
+        "writePending": (abort,),
         "writeResp": (mact("resWrite", t), abort),
-        "commitPending": (mact("doCommitW", t), abort),
+        "commitPending": (abort,),
         "commitResp": (mact("resCommit", t),),
         "committed": (),
         "aborted": (),
     }
+    enabled = {pc: internal.get(pc, ()) + acts
+               for pc, acts in external.items()}
+    return {pc: internal.get(pc, ()) for pc in external}, enabled
 
 
 class Dtms2Machine:
     """Transition relation of the automaton, with or without crashes.
 
     The action tables are built once, from the domain: for each transaction
-    the actions enabled at each control point, and its reads and read-only
-    commits for each snapshot index.  ``enabled`` puts its list together
-    from the tables and ``step`` checks its action against the same tables,
-    so enabledness has one definition.  Only readPending and commitPending
-    look at the state, for the snapshot indices that agree with the read set.
+    the actions enabled at each control point, the internal ones among
+    them, and its reads and read-only commits for each snapshot index.
+    ``enabled`` and ``internal`` put their lists together from the tables
+    and ``step`` checks its action against the same tables, so enabledness
+    has one definition.  Only readPending and commitPending look at the
+    state, for the snapshot indices that agree with the read set.
     """
 
     def __init__(self, domain: Domain, durable: bool = True):
@@ -187,8 +197,10 @@ class Dtms2Machine:
         self.durable = durable
         addrs, vals = range(domain.num_addrs), range(domain.num_vals)
         self._txn_ids = range(1, domain.num_txns + 1)
-        self._txn_acts = tuple(_txn_table(t, addrs, vals)
-                               for t in self._txn_ids)
+        tables = [_txn_tables(t, addrs, vals) for t in self._txn_ids]
+        self._txn_internal = tuple(internal for internal, _ in tables)
+        self._txn_acts = tuple(enabled for _, enabled in tables)
+        self._aborts = tuple(mact("abortResp", t) for t in self._txn_ids)
         # every transaction appends at most one snapshot, and a crash
         # truncates them to one, so indices stay below num_txns + 1
         idxs = range(domain.num_txns + 1)
@@ -222,20 +234,25 @@ class Dtms2Machine:
 
     def _txn_enabled(self, s: Dtms2State, i: int):
         pc = s.pc[i]
-        table = self._txn_acts[i]
+        if pc == "readPending" or pc == "commitPending":
+            out = list(self.internal(s, i))
+            out.append(self._aborts[i])
+            return out
+        return self._txn_acts[i][pc]
+
+    def internal(self, s: Dtms2State, i: int):
+        """The internal actions of transaction i + 1 enabled in s, in the
+        order ``enabled`` lists them."""
+        pc = s.pc[i]
+        table = self._txn_internal[i]
         if pc == "readPending":
             if _get(s.wr_set[i], s.cur_addr[i]) is not None:
                 return table[pc]
-            _, abort = table[pc]
-            out = _valid(s, i, self._reads[i])
-            out.append(abort)
-            return out
+            return _valid(s, i, self._reads[i])
         if pc == "commitPending":
-            commit_w, abort = table[pc]
             out = [] if s.wr_set[i] else _valid(s, i, self._ro_commits[i])
             if _subset_of(s.rd_set[i], s.mems[-1]):
-                out.append(commit_w)
-            out.append(abort)
+                out += table[pc]
             return out
         return table[pc]
 
@@ -343,8 +360,8 @@ def _closure(m: Dtms2Machine, states) -> set[Dtms2State]:
     frontier = list(states)
     while frontier:
         s = frontier.pop()
-        for a in m.enabled(s):
-            if a.kind in _INTERNAL:
+        for i in range(len(s.pc)):
+            for a in m.internal(s, i):
                 s2, _ = m.step(s, a)
                 if s2 not in seen:
                     seen.add(s2)
@@ -414,9 +431,8 @@ def _silent(m: Dtms2Machine, frame: frozenset, tx: int | None) -> frozenset:
     images = set(frame)
     if tx is not None:
         for s in frame:
-            for a in m.enabled(s):
-                if a.kind in _INTERNAL and a.tx == tx:
-                    images.add(m.step(s, a)[0])
+            for a in m.internal(s, tx - 1):
+                images.add(m.step(s, a)[0])
     return frozenset(images)
 
 
@@ -502,12 +518,11 @@ def compact_history(h: History) -> tuple[History, Domain]:
     return out, config_for_history(out)
 
 
-def dtms2_random_walk(domain: Domain, rng, max_steps: int,
+def dtms2_random_walk(m: Dtms2Machine, rng, max_steps: int,
                       max_crashes: int = 0,
-                      durable: bool = True) -> tuple[History, tuple[Dtms2Action, ...]]:
-    """Uniform random walk through the automaton; returns the emitted
+                      ) -> tuple[History, tuple[Dtms2Action, ...]]:
+    """Uniform random walk through the automaton m; returns the emitted
     history and the action schedule that produced it."""
-    m = Dtms2Machine(domain, durable=durable)
     s = m.initial()
     crashes = 0
     events: list[Event] = []

@@ -14,7 +14,10 @@ Checks run prefix-incrementally: every emitted event advances the
 well-formedness status vector, the consistency oracle (at the events that
 ``may_break_opacity``), the reference-automaton subset construction, and
 the forward-simulation candidate set in lockstep with the search, so paths
-cut by deduplication have still had their whole prefix checked.  A path
+cut by deduplication have still had their whole prefix checked.  A
+background flush changes nothing but the persistent store, which only the
+store-diff invariant reads, so a flush edge keeps the verdicts of its
+source.  A path
 ends at its first violation; the recorded counterexample is that prefix.
 """
 from __future__ import annotations
@@ -23,6 +26,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import histories as H
@@ -30,7 +34,7 @@ from .dtml import MUTATIONS, DtmlAction, DtmlMachine, DtmlState
 from .dtms2 import Acceptor, Dtms2Machine, dtms2_random_walk
 from .opacity import (OracleBounds, durably_opaque, end_to_end_opaque,
                       may_break_opacity)
-from .refinement import check_weak_sim, sim_step
+from .refinement import check_weak_sim, sim_filter, sim_step
 
 __all__ = [
     "ExplorationConfig",
@@ -51,6 +55,12 @@ _ALL_CHECKS = _MACHINE_CHECKS | _REFERENCE_CHECKS
 # times a begin may re-read an odd (claimed) counter on one path; the spin
 # at B2 is otherwise unbounded
 MAX_BEGIN_RETRIES = 2
+
+# opacity verdicts each exploration run remembers, keyed on the crash-erased
+# history: schedules that differ only in silent steps reach the same
+# history again, and on the 28-step 2x2x2 sweep 64 entries already hold
+# 2,731 of the 2,746 repeats that an unbounded memo would find
+OPACITY_MEMO_SIZE = 64
 
 # when a walk must still crash, do so while enough steps remain for
 # recovery plus one observer transaction, or the crash can prove nothing
@@ -82,7 +92,7 @@ class ExplorationConfig:
     crash_prob: float | None = None
     continue_prob: float = 0.0
     # "state": cut a path when its state was seen before (maximal state
-    # coverage; every walked edge is still fully checked).  "context":
+    # coverage; every walked edge is still checked).  "context":
     # cut only when the state and its whole path record (budgets, checker
     # frames, unflushed addresses, well-formedness status) repeat, so
     # counterexample paths are never merged away — needed when hunting
@@ -255,14 +265,18 @@ class _Path(NamedTuple):
     background flushes the path took, and per transaction how often a
     begin re-read an odd (claimed) counter at B2.  ``trace`` and ``sim``
     are the automaton candidate sets of the refinement and simrel checks
-    (None when the check is off), ``dirty`` the addresses written back but
-    not yet flushed, and ``wf`` the well-formedness status vector of the
-    path's events.
+    (None when the check is off), and ``soft`` the per-transaction clauses
+    that no member of ``sim`` satisfies at the path's last state (empty
+    when the check is off); being a function of that state and ``sim``,
+    it splits no dedup class.  ``dirty`` holds the addresses written back
+    but not yet flushed, and ``wf`` the well-formedness status vector of
+    the path's events.
     """
 
     budgets: tuple[int, int, tuple[int, ...]]
     trace: frozenset | None
     sim: frozenset | None
+    soft: tuple[str, ...]
     dirty: frozenset
     wf: tuple
 
@@ -292,17 +306,36 @@ class _Pipeline:
         self.acceptor = None
         if self.checks & {"refinement", "simrel"}:
             self.acceptor = Acceptor(Dtms2Machine(cfg.domain))
-        self.value_domain = range(cfg.domain.num_vals)
-        self.bounds = OracleBounds.covering(cfg.domain)
+        value_domain = range(cfg.domain.num_vals)
+        bounds = OracleBounds.covering(cfg.domain)
+
+        # end_to_end_opaque is looked up at each miss, not bound here, so
+        # that a wrapper installed on the module name sees every miss
+        @lru_cache(maxsize=OPACITY_MEMO_SIZE)
+        def opacity(history: H.History):
+            return end_to_end_opaque(history, value_domain, bounds)
+
+        self.opacity = opacity
         self.report = CheckReport()
 
-    def start(self) -> _Path:
-        """The path record of the empty schedule."""
+    def start(self, s0: DtmlState) -> _Path:
+        """The path record of the empty schedule at the initial state
+        ``s0``, which must satisfy the invariants and the relation to the
+        automaton's initial state: a flush edge carries its source's
+        verdicts, and the first source is ``s0``."""
         n = self.cfg.domain.num_txns
         acc, checks = self.acceptor, self.checks
         trace = acc.initial() if "refinement" in checks else None
-        sim = acc.initial() if "simrel" in checks else None
-        return _Path((0, 0, (0,) * n), trace, sim, frozenset(),
+        sim, soft = None, ()
+        if "simrel" in checks:
+            sim, hard, soft = sim_filter(acc.initial(), s0)
+            if hard:
+                raise AssertionError(
+                    "state relation must hold at the initial pair")
+        if ("invariants" in checks
+                and _invariant_violation(s0, frozenset()) is not None):
+            raise AssertionError("invariants must hold at the initial state")
+        return _Path((0, 0, (0,) * n), trace, sim, tuple(soft), frozenset(),
                      H.wf_start(n))
 
     def allowed(self, s: DtmlState, path: _Path) -> list[DtmlAction]:
@@ -324,7 +357,19 @@ class _Pipeline:
         Returns the path record after the step, or None when the step
         broke a check.  A failing event is reported under every check it
         breaks, so one counterexample can carry several verdicts.
+
+        A background flush copies one address from the volatile to the
+        persistent store, and only ``invariant.flushDiff`` reads the
+        persistent store, which the flush can only make hold: so the flush
+        edge keeps its source's frames, well-formedness status, invariant
+        verdict and soft clauses, and only the flush budget and ``dirty``
+        change.
         """
+        if a.kind == "flush":
+            self._flag(a, path.soft)
+            return path._replace(
+                budgets=_spend(path.budgets, s, a),
+                dirty=_update_dirty(path.dirty, s, a, self.cfg.mutation))
         report = self.report
         dirty = _update_dirty(path.dirty, s, a, self.cfg.mutation)
         if "invariants" in self.checks:
@@ -333,7 +378,7 @@ class _Pipeline:
                 report.violations.append(Violation(
                     inv, tuple(events), {"after_action": str(a)}))
                 return None
-        trace, sim, wf = path.trace, path.sim, path.wf
+        trace, sim, soft, wf = path.trace, path.sim, path.soft, path.wf
         if ev is not None:
             at = len(events) - 1
             wf = H.wf_step(wf, ev)
@@ -343,8 +388,7 @@ class _Pipeline:
                 return None
             viols: list[Violation] = []
             if "opacity" in self.checks and may_break_opacity(ev):
-                verdict = end_to_end_opaque(
-                    H.ops(events), self.value_domain, self.bounds)
+                verdict = self.opacity(H.ops(events))
                 if not verdict.ok:
                     viols.append(Violation(
                         "opacity", tuple(events),
@@ -365,14 +409,22 @@ class _Pipeline:
                     "simrel", tuple(events),
                     {"action": str(a), "clauses": hard}))
                 return None
-            if soft:
-                report.txn_rel_flag_count += 1
-                for c in soft:
-                    text = f"{a}: {c}"
-                    if (len(report.txn_rel_flags) < 10
-                            and text not in report.txn_rel_flags):
-                        report.txn_rel_flags += (text,)
-        return _Path(_spend(path.budgets, s, a), trace, sim, dirty, wf)
+            soft = tuple(soft)
+            self._flag(a, soft)
+        return _Path(_spend(path.budgets, s, a), trace, sim, soft, dirty, wf)
+
+    def _flag(self, a: DtmlAction, soft: tuple[str, ...]) -> None:
+        """Report a step after which no candidate satisfies the
+        per-transaction layer."""
+        if not soft:
+            return
+        report = self.report
+        report.txn_rel_flag_count += 1
+        for c in soft:
+            text = f"{a}: {c}"
+            if (len(report.txn_rel_flags) < 10
+                    and text not in report.txn_rel_flags):
+                report.txn_rel_flags += (text,)
 
 
 def _stop_satisfied(stop_on, report: CheckReport) -> bool:
@@ -446,7 +498,8 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
         if not acts:
             finish_path()
 
-    dfs(machine.initial(), 0, pipe.start())
+    s0 = machine.initial()
+    dfs(s0, 0, pipe.start(s0))
     report.states_visited = len(visited)
     report.elapsed = time.perf_counter() - start
     return report
@@ -517,7 +570,7 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
     for _ in range(cfg.num_walks):
         s = machine.initial()
         seen.add(s)
-        path = pipe.start()
+        path = pipe.start(s)
         events: list[H.Event] = []
         for step_no in range(cfg.max_steps):
             acts = pipe.allowed(s, path)
@@ -560,15 +613,17 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
     cfg.validate(_REFERENCE_CHECKS)
     report = CheckReport()
     bounds = OracleBounds.covering(cfg.domain)
+    durable = Dtms2Machine(cfg.domain)
+    crash_free = Dtms2Machine(cfg.domain, durable=False)
     acceptor = None
     if "refinement" in cfg.check_set:
-        acceptor = Acceptor(Dtms2Machine(cfg.domain))
+        acceptor = Acceptor(durable)
     rng = random.Random(cfg.seed)
     start = time.perf_counter()
 
     for walk_no in range(cfg.num_walks):
         h, schedule = dtms2_random_walk(
-            cfg.domain, rng, cfg.max_steps, max_crashes=cfg.max_crashes)
+            durable, rng, cfg.max_steps, max_crashes=cfg.max_crashes)
         report.states_visited += len(schedule)
         if "opacity" in cfg.check_set:
             verdict = durably_opaque(h, range(cfg.domain.num_vals), bounds)
@@ -583,7 +638,7 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
                     "refinement", h,
                     {"walk": walk_no, "failed_at": acc.failed_at}))
         if "weaksim" in cfg.check_set:
-            sim = check_weak_sim(cfg.domain, schedule)
+            sim = check_weak_sim(durable, crash_free, schedule)
             if not sim.ok:
                 report.violations.append(Violation(
                     "weaksim", h,

@@ -272,6 +272,13 @@ def completions(h: Sequence[Event], value_domain) -> Iterator[History]:
     h = tuple(h)
     if not well_formed(h):
         raise ValueError("completions needs a well-formed crash-free history")
+    yield from completions_unchecked(h, value_domain)
+
+
+def completions_unchecked(h: History, value_domain) -> Iterator[History]:
+    """``completions`` of a history that its caller has already found
+    well-formed and crash-free; on any other input the result is
+    undefined."""
     vals = tuple(value_domain)
     pend: list[tuple[int, Event]] = []
     for t in txn_ids(h):

@@ -52,6 +52,7 @@ from .histories import (
     Event,
     History,
     completions,
+    completions_unchecked,
     durably_well_formed,
     is_committed,
     is_crash,
@@ -287,11 +288,10 @@ def _order_search(hc: History) -> History | None:
     return None
 
 
-def end_to_end_opaque(h: Sequence[Event], value_domain, bounds: OracleBounds | None = None) -> Verdict:
-    """Search completions and block orders for a sequential witness."""
-    h = tuple(h)
-    _check_bounds(h, value_domain, bounds)
-    for hc in completions(h, value_domain):
+def _first_witness(h: History, candidates) -> Verdict:
+    """Search the completions ``candidates`` of h, in order, for one with a
+    legal block order."""
+    for hc in candidates:
         hs = _order_search(hc)
         if hs is not None:
             return Verdict(True, sequential_witness=hs, completion_witness=hc)
@@ -300,6 +300,13 @@ def end_to_end_opaque(h: Sequence[Event], value_domain, bounds: OracleBounds | N
         failing_prefix=len(h),
         reason="no completion admits a legal order-respecting sequential arrangement",
     )
+
+
+def end_to_end_opaque(h: Sequence[Event], value_domain, bounds: OracleBounds | None = None) -> Verdict:
+    """Search completions and block orders for a sequential witness."""
+    h = tuple(h)
+    _check_bounds(h, value_domain, bounds)
+    return _first_witness(h, completions(h, value_domain))
 
 
 def may_break_opacity(e: Event) -> bool:
@@ -323,11 +330,24 @@ def opaque(h: Sequence[Event], value_domain, bounds: OracleBounds | None = None)
     """
     h = tuple(h)
     _check_bounds(h, value_domain, bounds)
-    every = any(is_crash(e) for e in h) or not well_formed(h)
-    last = Verdict(True, sequential_witness=(), completion_witness=())
+    if not any(is_crash(e) for e in h) and well_formed(h):
+        return _opaque(h, tuple(value_domain))
     for k in range(len(h) + 1):
-        if every or k == len(h) or (k and may_break_opacity(h[k - 1])):
-            last = end_to_end_opaque(h[:k], value_domain, bounds)
+        last = end_to_end_opaque(h[:k], value_domain, bounds)
+        if not last.ok:
+            return last
+    return last
+
+
+def _opaque(h: History, vals: tuple[int, ...]) -> Verdict:
+    """``opaque`` on a well-formed crash-free history within the bounds,
+    which its caller has checked once for all of h: every prefix passes
+    them too."""
+    last = Verdict(True, sequential_witness=(), completion_witness=())
+    for k in range(1, len(h) + 1):
+        if k == len(h) or may_break_opacity(h[k - 1]):
+            prefix = h[:k]
+            last = _first_witness(prefix, completions_unchecked(prefix, vals))
             if not last.ok:
                 return last
     return last
@@ -336,13 +356,14 @@ def opaque(h: Sequence[Event], value_domain, bounds: OracleBounds | None = None)
 def durably_opaque(h: Sequence[Event], value_domain, bounds: OracleBounds | None = None) -> Verdict:
     """Durably well-formed and crash-erasure opaque.  The failing prefix of
     a well-formedness failure is measured in h; an opacity failing prefix is
-    measured in ops(h)."""
+    measured in ops(h).  The bounds and well-formedness are checked once,
+    on h: ops(h) is then well-formed and crash-free, and within them."""
     h = tuple(h)
     _check_bounds(h, value_domain, bounds)
     if not durably_well_formed(h):
         k = next(k for k in range(len(h) + 1) if not durably_well_formed(h[:k]))
         return Verdict(False, failing_prefix=k, reason="history is not durably well-formed")
-    return opaque(ops(h), value_domain, bounds)
+    return _opaque(ops(h), tuple(value_domain))
 
 
 # ---------------------------------------------------------------------------

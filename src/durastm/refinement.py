@@ -121,7 +121,7 @@ def global_rel_for(cs: DtmlState) -> Callable[[Dtms2State], str | None]:
     recovering = cs.syst_pc != "RecIdle"
     w = _live_writer(cs)
     snapshots = write_count(cs) + 1
-    restored = _apply(vstore, cs.log.items())
+    restored = vstore if cs.log.is_empty() else _apply(vstore, cs.log.items())
     not_started = [i for i, pc in enumerate(cs.pc) if pc == "NotStarted"]
 
     def clause(as_: Dtms2State) -> str | None:
@@ -204,6 +204,33 @@ class SimWitness:
     abstract_candidates: frozenset
 
 
+def sim_filter(images: frozenset, cs2: DtmlState,
+               ) -> tuple[frozenset, list[str], list[str]]:
+    """Prune candidate automaton states by the global relation at ``cs2``.
+
+    Returns the candidates that satisfy it (``images`` itself when it
+    prunes none, so that the frame keeps its cached hash), the clauses
+    that emptied the set (hard failure) and, when the set is non-empty but
+    no member satisfies the per-transaction layer, those soft clauses.
+    """
+    rel = global_rel_for(cs2)
+    kept = [a2 for a2 in images if rel(a2) is None]
+    if not kept:
+        hard = sorted({rel(a2) for a2 in images} - {None}) \
+            if images else ["no matching automaton action"]
+        return frozenset(), hard, []
+    filtered = images if len(kept) == len(images) else frozenset(kept)
+    # each image's soft clause is computed once; one image that satisfies
+    # the per-transaction layer clears the step
+    soft = set()
+    for a2 in kept:
+        clause = _txn_rel_all(cs2, a2)
+        if clause is None:
+            return filtered, [], []
+        soft.add(clause)
+    return filtered, [], sorted(soft)
+
+
 def sim_step(acceptor: Acceptor, aset: frozenset, ca: DtmlAction,
              cs2: DtmlState, ev: Event | None,
              ) -> tuple[frozenset, list[str], list[str]]:
@@ -211,29 +238,14 @@ def sim_step(acceptor: Acceptor, aset: frozenset, ca: DtmlAction,
 
     Visible events must be matched by an automaton action; a silent step
     lets each candidate stand still or take one internal action of the
-    same transaction.  Returns the pruned candidate set, the relation
-    clauses that emptied it (hard failure) and, when the set is non-empty
-    but no member satisfies the per-transaction layer, those soft clauses.
+    same transaction.  The images are then pruned by ``sim_filter``, whose
+    result this returns.
     """
     if ev is None:
         images = acceptor.silent(aset, ca.tx)
     else:
         images = acceptor.match(aset, ev)
-    rel = global_rel_for(cs2)
-    filtered = frozenset(a2 for a2 in images if rel(a2) is None)
-    if not filtered:
-        hard = sorted({rel(a2) for a2 in images} - {None}) \
-            if images else ["no matching automaton action"]
-        return filtered, hard, []
-    # each image's soft clause is computed once; one image that satisfies
-    # the per-transaction layer clears the step
-    soft = set()
-    for a2 in filtered:
-        clause = _txn_rel_all(cs2, a2)
-        if clause is None:
-            return filtered, [], []
-        soft.add(clause)
-    return filtered, [], sorted(soft)
+    return sim_filter(images, cs2)
 
 
 @dataclass
@@ -262,8 +274,8 @@ def check_forward_sim(domain: Domain, schedule,
     cm = DtmlMachine(domain, mutation=mutation)
     acceptor = Acceptor(Dtms2Machine(domain))
     cs = cm.initial()
-    aset = acceptor.initial()
-    if any(global_rel_clause(cs, a0) is not None for a0 in aset):
+    aset, hard, _ = sim_filter(acceptor.initial(), cs)
+    if hard:
         raise AssertionError("state relation must hold at the initial pair")
     soft_flags: list[dict] = []
     soft_count = 0
@@ -322,8 +334,10 @@ class WeakSimReport:
         }
 
 
-def check_weak_sim(domain: Domain, schedule) -> WeakSimReport:
-    """Mirror a durable-automaton schedule on the crash-free automaton.
+def check_weak_sim(dm: Dtms2Machine, tm: Dtms2Machine,
+                   schedule) -> WeakSimReport:
+    """Mirror a schedule of the durable automaton ``dm`` on the crash-free
+    automaton ``tm`` of the same domain.
 
     Crash steps are erased; snapshot indices in mirrored actions are
     shifted by the number of snapshots the crashes discarded.  The run
@@ -331,8 +345,9 @@ def check_weak_sim(domain: Domain, schedule) -> WeakSimReport:
     stop agreeing, or if the produced histories differ after erasing
     crash markers.
     """
-    dm = Dtms2Machine(domain, durable=True)
-    tm = Dtms2Machine(domain, durable=False)
+    if not dm.durable or tm.durable or dm.domain != tm.domain:
+        raise ValueError("check_weak_sim needs the durable and the "
+                         "crash-free automaton of one domain")
     ds, ts = dm.initial(), tm.initial()
     offset = 0
     d_events, t_events = [], []

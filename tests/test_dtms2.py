@@ -303,7 +303,8 @@ def test_one_acceptor_judges_every_history_as_a_fresh_one(
 def test_random_walks_are_durably_opaque() -> None:
     rng = random.Random(99)
     for _ in range(40):
-        h, schedule = dtms2_random_walk(CFG, rng, max_steps=30, max_crashes=2)
+        h, schedule = dtms2_random_walk(Dtms2Machine(CFG), rng,
+                                        max_steps=30, max_crashes=2)
         assert H.durably_well_formed(h)
         assert dtms2_accepts(h, CFG).ok
         assert durably_opaque(h, value_domain=range(CFG.num_vals)).ok
@@ -311,6 +312,7 @@ def test_random_walks_are_durably_opaque() -> None:
 
 
 def test_random_walk_is_reproducible() -> None:
-    h1, s1 = dtms2_random_walk(CFG, random.Random(7), max_steps=25, max_crashes=1)
-    h2, s2 = dtms2_random_walk(CFG, random.Random(7), max_steps=25, max_crashes=1)
+    m = Dtms2Machine(CFG)
+    h1, s1 = dtms2_random_walk(m, random.Random(7), max_steps=25, max_crashes=1)
+    h2, s2 = dtms2_random_walk(m, random.Random(7), max_steps=25, max_crashes=1)
     assert h1 == h2 and s1 == s2

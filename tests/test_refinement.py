@@ -33,6 +33,8 @@ from durastm.refinement import (
 )
 
 CFG = H.Domain(2, 2, 2)
+DURABLE = Dtms2Machine(CFG)
+CRASH_FREE = Dtms2Machine(CFG, durable=False)
 
 
 def _concrete(glb=0, writer=None, writer_pc=None, vstore=(0, 0), pstore=(0, 0),
@@ -307,7 +309,7 @@ def test_weak_sim_erases_crash_from_committed_write_run() -> None:
         mact("invBegin", 2), mact("resBegin", 2),
         mact("invRead", 2, addr=0), mact("doRead", 2, idx=0), mact("resRead", 2),
     ]
-    rep = check_weak_sim(CFG, schedule)
+    rep = check_weak_sim(DURABLE, CRASH_FREE, schedule)
     assert rep.ok
     assert H.CRASH in rep.durable_history
     assert rep.target_history == H.ops(rep.durable_history)
@@ -323,7 +325,7 @@ def test_weak_sim_mirrors_interrupted_transaction() -> None:
         mact("invBegin", 2), mact("resBegin", 2),
         mact("invRead", 2, addr=0), mact("doRead", 2, idx=0), mact("resRead", 2),
     ]
-    rep = check_weak_sim(CFG, schedule)
+    rep = check_weak_sim(DURABLE, CRASH_FREE, schedule)
     assert rep.ok
     assert rep.target_history[-1] == H.res_read(2, 0)
 
@@ -331,9 +333,18 @@ def test_weak_sim_mirrors_interrupted_transaction() -> None:
 def test_weak_sim_on_random_walks() -> None:
     rng = random.Random(4242)
     for _ in range(30):
-        _, schedule = dtms2_random_walk(CFG, rng, max_steps=30, max_crashes=2)
-        rep = check_weak_sim(CFG, schedule)
+        _, schedule = dtms2_random_walk(DURABLE, rng, max_steps=30,
+                                        max_crashes=2)
+        rep = check_weak_sim(DURABLE, CRASH_FREE, schedule)
         assert rep.ok, rep.reason
+
+
+def test_weak_sim_refuses_machines_of_the_wrong_kind() -> None:
+    other = Dtms2Machine(H.Domain(2, 1, 2), durable=False)
+    for dm, tm in ((CRASH_FREE, DURABLE), (DURABLE, DURABLE),
+                   (DURABLE, other)):
+        with pytest.raises(ValueError, match="crash-free automaton"):
+            check_weak_sim(dm, tm, [])
 
 
 # trace membership ----------------------------------------------------------------

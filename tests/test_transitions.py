@@ -158,3 +158,28 @@ def test_dtms2_steps_exactly_what_it_enables(dims, durable) -> None:
     m = Dtms2Machine(d, durable=durable)
     got = walk_graph(m, dtms2_alphabet(d), dtms2_refusal)
     assert got == DTMS2_GRAPHS[dims, durable]
+
+
+_DTMS2_INTERNAL = frozenset({"doRead", "doWrite", "doCommitRO", "doCommitW"})
+
+
+@pytest.mark.parametrize("dims, durable", list(DTMS2_GRAPHS),
+                         ids=["2x1x2-durable", "2x1x2-crash_free"])
+def test_dtms2_internal_lists_the_internal_actions_it_enables(
+        dims, durable) -> None:
+    m = Dtms2Machine(H.Domain(*dims), durable=durable)
+    seen = {m.initial()}
+    frontier = [m.initial()]
+    while frontier:
+        s = frontier.pop()
+        enabled = m.enabled(s)
+        for i in range(len(s.pc)):
+            assert list(m.internal(s, i)) == [
+                a for a in enabled
+                if a.kind in _DTMS2_INTERNAL and a.tx == i + 1], s
+        for a in enabled:
+            s2, _ = m.step(s, a)
+            if s2 not in seen:
+                seen.add(s2)
+                frontier.append(s2)
+    assert len(seen) == DTMS2_GRAPHS[dims, durable][0]
