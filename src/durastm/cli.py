@@ -39,16 +39,20 @@ from .opacity import OracleBounds, TooLargeError, durably_opaque
 
 def read_trace(path: str) -> H.History:
     """Load a JSONL event trace.  Blank lines are ignored; any malformed
-    line raises ValueError naming the 1-based line number."""
+    line (not UTF-8, not JSON, nested too deep to parse, or not an event)
+    raises ValueError naming the 1-based line number."""
     events: list[H.Event] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
             try:
-                events.append(H.event_from_json(json.loads(line)))
-            except (ValueError, json.JSONDecodeError) as exc:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    events.append(H.event_from_json(json.loads(line)))
+            except ValueError as exc:
                 raise ValueError(f"{path}: line {number}: {exc}") from exc
+            except RecursionError as exc:
+                raise ValueError(f"{path}: line {number}: JSON nested too "
+                                 "deeply") from exc
     return tuple(events)
 
 

@@ -29,7 +29,6 @@ shown to catch the resulting bugs:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -53,10 +52,10 @@ from .nvm import MemoryPair, UndoLog
 
 MUTATIONS = ("skip_flush_W7", "skip_undo_log", "skip_log_clear_E2")
 
-@dataclass(frozen=True, order=True)
-class DtmlAction:
+class DtmlAction(NamedTuple):
     """One atomic step: an external event boundary, an algorithm line, a
-    recovery line, a background flush, or a crash."""
+    recovery line, a background flush, or a crash.  A tuple underneath, so
+    that hashing and equality run in C."""
 
     kind: str
     tx: int | None = None

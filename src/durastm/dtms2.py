@@ -68,10 +68,10 @@ MEMO_SIZE = 1024
 Dtms2Config = Domain
 
 
-@dataclass(frozen=True, order=True)
-class Dtms2Action:
+class Dtms2Action(NamedTuple):
     """kind plus payload; ``idx`` selects the snapshot for reads and
-    read-only commits."""
+    read-only commits.  A tuple underneath, so that hashing and equality
+    run in C."""
 
     kind: str
     tx: int | None = None
@@ -356,13 +356,16 @@ class AcceptResult:
 
 
 def _closure(m: Dtms2Machine, states) -> set[Dtms2State]:
+    """Every state reachable from states by internal actions.  ``internal``
+    lists only enabled actions, so they are applied without ``step``
+    checking them again; so are ``_silent``'s."""
     seen = set(states)
     frontier = list(states)
     while frontier:
         s = frontier.pop()
         for i in range(len(s.pc)):
             for a in m.internal(s, i):
-                s2, _ = m.step(s, a)
+                s2, _ = m._apply_txn(s, a, i)
                 if s2 not in seen:
                     seen.add(s2)
                     frontier.append(s2)
@@ -430,9 +433,10 @@ def _match(m: Dtms2Machine, frame: frozenset, e: Event) -> frozenset:
 def _silent(m: Dtms2Machine, frame: frozenset, tx: int | None) -> frozenset:
     images = set(frame)
     if tx is not None:
+        i = tx - 1
         for s in frame:
-            for a in m.internal(s, tx - 1):
-                images.add(m.step(s, a)[0])
+            for a in m.internal(s, i):
+                images.add(m._apply_txn(s, a, i)[0])
     return frozenset(images)
 
 

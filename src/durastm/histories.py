@@ -144,16 +144,16 @@ def matches(inv: Event, res: Event) -> bool:
 
 def project(h: Sequence[Event], t: int) -> History:
     """Subsequence of h belonging to transaction t (crash markers excluded)."""
-    return tuple(e for e in h if e.tx == t and not is_crash(e))
+    return tuple(e for e in h if e.tx == t and e.ev != "crash")
 
 
 def txn_ids(h: Sequence[Event]) -> tuple[int, ...]:
-    return tuple(sorted({e.tx for e in h if not is_crash(e)}))
+    return tuple(sorted({e.tx for e in h if e.ev != "crash"}))
 
 
 def ops(h: Sequence[Event]) -> History:
     """h with every crash marker erased."""
-    return tuple(e for e in h if not is_crash(e))
+    return tuple(e for e in h if e.ev != "crash")
 
 
 def eras(h: Sequence[Event]) -> tuple[History, ...]:
@@ -170,6 +170,56 @@ def eras(h: Sequence[Event]) -> tuple[History, ...]:
     return tuple(out)
 
 
+# per-transaction status of durable well-formedness: NS not started, PB
+# begin pending, RD ready, PR/PW/PC read/write/commit pending, HALT finished
+# (committed, aborted, or cut off by a crash)
+_NS, _HALT = "NS", "HALT"
+# the response each pending status awaits
+_AWAITS = {"PB": "resBegin", "PR": "resRead", "PW": "resWrite",
+           "PC": "resCommit"}
+# the pending status each invocation of a ready transaction enters
+_INVOKES = {"invRead": "PR", "invWrite": "PW", "invCommit": "PC"}
+_CRASHY = "well_formed is defined on crash-free histories"
+# the responses whose abort flag aborts their transaction (all but begin's)
+_ABORTABLE = ("resRead", "resWrite", "resCommit")
+
+
+def _next_status(s: str, e: Event) -> str | None:
+    """Status of e's transaction after the crash-free event e, given its
+    status s before e, or None when e breaks well-formedness."""
+    ev = e.ev
+    if s == _NS:
+        return "PB" if ev == "invBegin" else None
+    if s == "RD":
+        return _INVOKES.get(ev)
+    if _AWAITS.get(s) != ev:
+        return None
+    # a begin response never ends a transaction, whatever its flag
+    if ev == "resCommit" or (e.abort and ev in _ABORTABLE):
+        return _HALT
+    return "RD"
+
+
+def _ill_formed_at(h: Sequence[Event], crashes: bool) -> int | None:
+    """Index of the event at which h stops being durably well-formed, or
+    None when it is.  One pass, keeping each transaction's status as
+    ``wf_step`` does, in a dict, so that any ids may occur.  A crash
+    finishes every transaction that has started, so that no id spans two
+    eras; when not ``crashes`` it is a usage error instead."""
+    status: dict = {}
+    for i, e in enumerate(h):
+        if e.ev == "crash":
+            if not crashes:
+                raise ValueError(_CRASHY)
+            status = dict.fromkeys(status, _HALT)
+            continue
+        ns = _next_status(status.get(e.tx, _NS), e)
+        if ns is None:
+            return i
+        status[e.tx] = ns
+    return None
+
+
 def well_formed(h: Sequence[Event]) -> bool:
     """Per-transaction alternation of invocations and matching responses,
     starting with a begin, with nothing after a commit or abort response.
@@ -177,25 +227,10 @@ def well_formed(h: Sequence[Event]) -> bool:
     Defined on crash-free histories only; a crash marker is a usage error.
     """
     h = tuple(h)
-    if any(is_crash(e) for e in h):
-        raise ValueError("well_formed is defined on crash-free histories")
-    for t in txn_ids(h):
-        proj = project(h, t)
-        if proj[0].ev != "invBegin":
-            return False
-        done = False
-        for i, e in enumerate(proj):
-            if done:
-                return False
-            if i % 2 == 0:
-                if not is_invocation(e) or (i > 0 and e.ev == "invBegin"):
-                    return False
-            else:
-                if not matches(proj[i - 1], e):
-                    return False
-                if rval(e) in ("commit", "abort"):
-                    done = True
-    return True
+    bad = _ill_formed_at(h, crashes=False)
+    if bad is not None and any(e.ev == "crash" for e in h[bad + 1:]):
+        raise ValueError(_CRASHY)
+    return bad is None
 
 
 def durably_well_formed(h: Sequence[Event]) -> bool:
@@ -203,15 +238,14 @@ def durably_well_formed(h: Sequence[Event]) -> bool:
 
     Whole-history form; ``wf_step`` decides the same one event at a time.
     """
-    h = tuple(h)
-    if not well_formed(ops(h)):
-        return False
-    segs = eras(h)
-    for t in txn_ids(h):
-        hit = [i for i, seg in enumerate(segs) if any(e.tx == t for e in seg)]
-        if len(hit) > 1:
-            return False
-    return True
+    return _ill_formed_at(h, crashes=True) is None
+
+
+def first_ill_formed(h: Sequence[Event]) -> int | None:
+    """Length of the shortest prefix of h that is not durably
+    well-formed, or None when h is durably well-formed."""
+    bad = _ill_formed_at(h, crashes=True)
+    return None if bad is None else bad + 1
 
 
 def pending_invocation(proj: Sequence[Event]) -> Event | None:
@@ -280,30 +314,39 @@ def completions_unchecked(h: History, value_domain) -> Iterator[History]:
     well-formed and crash-free; on any other input the result is
     undefined."""
     vals = tuple(value_domain)
-    pend: list[tuple[int, Event]] = []
-    for t in txn_ids(h):
-        inv = pending_invocation(project(h, t))
-        if inv is not None:
-            pos = max(i for i, e in enumerate(h) if e.tx == t)
-            pend.append((pos, inv))
-    pend.sort()
+    # each transaction's last position and whether its event count is odd:
+    # a trailing invocation then awaits its response
+    last: dict = {}
+    odd: dict = {}
+    for i, e in enumerate(h):
+        last[e.tx] = i
+        odd[e.tx] = not odd.get(e.tx)
+    pend = sorted((pos, h[pos]) for t, pos in last.items()
+                  if odd[t] and h[pos].ev in INV_TAGS)
     options = [[None] + _matching_responses(inv, vals) for _, inv in pend]
     for combo in product(*options):
         dropped = {pos for (pos, _), c in zip(pend, combo) if c is None}
-        base = tuple(e for i, e in enumerate(h) if i not in dropped)
+        base = (tuple(e for i, e in enumerate(h) if i not in dropped)
+                if dropped else h)
         yield base + tuple(c for c in combo if c is not None)
 
 
 def real_time_precedes(h: Sequence[Event], t1: int, t2: int) -> bool:
     """t1 completed and its last event occurs before t2's first event."""
-    h = tuple(h)
-    if not is_completed(h, t1):
-        return False
-    starts = [i for i, e in enumerate(h) if e.tx == t2]
-    if not starts:
-        return False
-    last1 = max(i for i, e in enumerate(h) if e.tx == t1)
-    return last1 < min(starts)
+    done = False  # t1 has committed or aborted
+    started = False  # t2 has an event
+    for e in h:
+        t = e.tx
+        if t == t1:
+            if started:
+                return False
+            if e.ev == "resCommit" or (e.abort and e.ev in _ABORTABLE):
+                done = True
+        elif t == t2 and not started:
+            if not done:
+                return False
+            started = True
+    return started
 
 
 # wire format ---------------------------------------------------------------
@@ -359,16 +402,7 @@ def event_from_json(d: object) -> Event:
     return Event(ev, tx, addr=addr, val=val, abort=bool(d.get("abort", False)))
 
 
-# per-transaction status: durable well-formedness one event at a time -------
-
-# NS not started, PB begin pending, RD ready, PR/PW/PC read/write/commit
-# pending, HALT finished (committed, aborted, or cut off by a crash)
-_NS, _HALT = "NS", "HALT"
-# the response each pending status awaits
-_AWAITS = {"PB": "resBegin", "PR": "resRead", "PW": "resWrite",
-           "PC": "resCommit"}
-# the pending status each invocation of a ready transaction enters
-_INVOKES = {"invRead": "PR", "invWrite": "PW", "invCommit": "PC"}
+# durable well-formedness one event at a time ---------------------------------
 
 
 def wf_start(num_txns: int) -> tuple[str, ...]:
@@ -393,16 +427,7 @@ def wf_step(status: tuple, e: Event) -> tuple | None:
     t = e.tx
     if not isinstance(t, int) or not 1 <= t <= len(status):
         return None
-    s = status[t - 1]
-    if s == _NS:
-        ns = "PB" if e.ev == "invBegin" else None
-    elif s == "RD":
-        ns = _INVOKES.get(e.ev)
-    elif _AWAITS.get(s) != e.ev:
-        ns = None
-    else:
-        # a begin response never ends a transaction, whatever its flag
-        ns = _HALT if rval(e) in ("commit", "abort") else "RD"
+    ns = _next_status(status[t - 1], e)
     if ns is None:
         return None
     return status[: t - 1] + (ns,) + status[t:]

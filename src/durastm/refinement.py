@@ -38,7 +38,7 @@ is plain trace membership of a history in the durable automaton.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .dtml import DtmlAction, DtmlMachine, DtmlState
 from .dtms2 import (
@@ -363,7 +363,7 @@ def check_weak_sim(dm: Dtms2Machine, tm: Dtms2Machine,
             ds, e = dm.step(ds, a)
             d_events.append(e)
         else:
-            mirrored = a if a.idx is None else replace(a, idx=a.idx + offset)
+            mirrored = a if a.idx is None else a._replace(idx=a.idx + offset)
             try:
                 ts2, te = tm.step(ts, mirrored)
             except ValueError as exc:

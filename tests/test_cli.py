@@ -6,10 +6,14 @@ counterexample written out), 2 usage or configuration error.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from durastm import histories as H
 from durastm.cli import main, read_trace, write_trace
@@ -172,6 +176,73 @@ def test_check_history_malformed_line_names_line_number(tmp_path,
     p.write_text('{"ev": "invBegin", "tx": 1}\n{"ev": "bogus"}\n')
     assert main(["check-history", "--in", str(p)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_check_history_deeply_nested_line_is_usage_error(tmp_path,
+                                                          capsys) -> None:
+    p = tmp_path / "deep.jsonl"
+    p.write_text('{"ev": "invBegin", "tx": 1}\n' + "[" * 100_000 + "\n")
+    assert main(["check-history", "--in", str(p)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_check_history_line_not_utf8_names_line_number(tmp_path,
+                                                       capsys) -> None:
+    p = tmp_path / "latin.jsonl"
+    p.write_bytes(b'{"ev": "invBegin", "tx": 1}\n{"ev": "crash"}\xff\n')
+    assert main(["check-history", "--in", str(p)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.sampled_from(
+        H.EV_TAGS + ("tx", "addr", "val", "abort", "ev")),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(("ev", "tx", "addr", "val", "abort")), inner,
+        max_size=4),
+    max_leaves=8)
+_GOOD_LINES = st.sampled_from([b"", b" \t\r"] + [
+    json.dumps(H.event_to_json(e)).encode()
+    for e in (H.CRASH, H.inv_begin(1), H.res_begin(2), H.inv_read(1, 0),
+              H.res_read(1, 1), H.res_read_abort(3), H.inv_write(2, 1, 0),
+              H.res_write(1), H.res_write_abort(1), H.inv_commit(2),
+              H.res_commit(2), H.res_commit_abort(1))])
+_LINES = st.one_of(
+    _GOOD_LINES,
+    _GOOD_LINES,
+    _GOOD_LINES,
+    st.binary(max_size=30),
+    # lone surrogates encode to bytes that are not UTF-8
+    st.text(max_size=30).map(lambda s: s.encode("utf-8", "surrogatepass")),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+).map(lambda line: line.replace(b"\n", b" "))
+
+
+def _read_lines(lines: list[bytes]):
+    """read_trace's history of a file holding these lines, or its error."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "trace.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        try:
+            return read_trace(path)
+        except ValueError as exc:
+            return exc
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_LINES, max_size=5))
+def test_read_trace_returns_a_history_or_names_the_first_bad_line(
+        lines) -> None:
+    got = _read_lines(lines)
+    bad = [n for n, line in enumerate(lines, start=1)
+           if isinstance(_read_lines([line]), ValueError)]
+    if not bad:
+        assert isinstance(got, tuple)
+        assert all(isinstance(e, H.Event) for e in got)
+    else:
+        assert isinstance(got, ValueError)
+        assert f": line {bad[0]}: " in str(got)
 
 
 def test_check_refinement_good_and_bad(tmp_path) -> None:

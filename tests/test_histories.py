@@ -9,12 +9,14 @@ Frozen expectations:
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from durastm import histories as H
+from durastm.opacity import OracleBounds, durably_opaque
 
 
 def two_txn_prefix() -> tuple[H.Event, ...]:
@@ -283,3 +285,195 @@ def test_wf_step_agrees_with_durably_well_formed_on_arbitrary_sequences(
     h = tuple(events)
     assert _wf_verdicts(h, 3) == [H.durably_well_formed(h[:k])
                                   for k in range(len(h) + 1)]
+
+
+# one-pass scans against the per-transaction definitions -----------------------
+#
+# well_formed, durably_well_formed, first_ill_formed, real_time_precedes and
+# the pending-invocation scan of completions_unchecked each walk their
+# history once.  The reference forms below are the definitions as they
+# stood before: they project the history once per transaction, and the
+# failing prefix tests every prefix.  The opacity strategies rest on these
+# helpers, and A9's cross-check of the two strategies would miss an error in
+# a helper that both use.
+
+
+def ref_txn_ids(h) -> tuple:
+    return tuple(sorted({e.tx for e in h if not H.is_crash(e)}))
+
+
+def ref_project(h, t) -> H.History:
+    return tuple(e for e in h if e.tx == t and not H.is_crash(e))
+
+
+def ref_well_formed(h) -> bool:
+    h = tuple(h)
+    if any(H.is_crash(e) for e in h):
+        raise ValueError("well_formed is defined on crash-free histories")
+    for t in ref_txn_ids(h):
+        proj = ref_project(h, t)
+        if proj[0].ev != "invBegin":
+            return False
+        done = False
+        for i, e in enumerate(proj):
+            if done:
+                return False
+            if i % 2 == 0:
+                if not H.is_invocation(e) or (i > 0 and e.ev == "invBegin"):
+                    return False
+            else:
+                if not H.matches(proj[i - 1], e):
+                    return False
+                if H.rval(e) in ("commit", "abort"):
+                    done = True
+    return True
+
+
+def ref_durably_well_formed(h) -> bool:
+    h = tuple(h)
+    if not ref_well_formed(H.ops(h)):
+        return False
+    segs = H.eras(h)
+    for t in ref_txn_ids(h):
+        hit = [i for i, seg in enumerate(segs) if any(e.tx == t for e in seg)]
+        if len(hit) > 1:
+            return False
+    return True
+
+
+def ref_first_ill_formed(h) -> int | None:
+    return next((k for k in range(len(h) + 1)
+                 if not ref_durably_well_formed(h[:k])), None)
+
+
+def ref_real_time_precedes(h, t1, t2) -> bool:
+    h = tuple(h)
+    if not H.is_completed(h, t1):
+        return False
+    starts = [i for i, e in enumerate(h) if e.tx == t2]
+    if not starts:
+        return False
+    last1 = max(i for i, e in enumerate(h) if e.tx == t1)
+    return last1 < min(starts)
+
+
+def ref_pending(h) -> list[tuple[int, H.Event]]:
+    pend = []
+    for t in ref_txn_ids(h):
+        inv = H.pending_invocation(ref_project(h, t))
+        if inv is not None:
+            pos = max(i for i, e in enumerate(h) if e.tx == t)
+            pend.append((pos, inv))
+    pend.sort()
+    return pend
+
+
+def _responses(inv: H.Event, vals) -> list[H.Event]:
+    t = inv.tx
+    if inv.ev == "invBegin":
+        return [H.res_begin(t)]
+    if inv.ev == "invRead":
+        return [H.res_read(t, v) for v in vals] + [H.res_read_abort(t)]
+    if inv.ev == "invWrite":
+        return [H.res_write(t), H.res_write_abort(t)]
+    return [H.res_commit(t), H.res_commit_abort(t)]
+
+
+def ref_completions(h, vals) -> list[H.History]:
+    pend = ref_pending(h)
+    out = []
+    for combo in product(*[[None] + _responses(inv, vals)
+                           for _, inv in pend]):
+        dropped = {pos for (pos, _), c in zip(pend, combo) if c is None}
+        base = tuple(e for i, e in enumerate(h) if i not in dropped)
+        out.append(base + tuple(c for c in combo if c is not None))
+    return out
+
+
+def _raises(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_scans_agree(h: H.History, tids, vals=(0, 1)) -> None:
+    """Every one-pass scan gives its reference's answer on h."""
+    o = H.ops(h)
+    assert H.durably_well_formed(h) == ref_durably_well_formed(h), h
+    assert H.first_ill_formed(h) == ref_first_ill_formed(h), h
+    assert H.well_formed(o) == ref_well_formed(o), h
+    assert _raises(H.well_formed, h) == _raises(ref_well_formed, h), h
+    assert H.txn_ids(h) == ref_txn_ids(h), h
+    for t1 in tids:
+        assert H.project(h, t1) == ref_project(h, t1), h
+        for t2 in tids:
+            assert H.real_time_precedes(h, t1, t2) == ref_real_time_precedes(
+                h, t1, t2), (h, t1, t2)
+    assert list(H.completions_unchecked(o, vals)) == ref_completions(
+        o, vals), h
+
+
+def test_scans_agree_with_references_on_enumerated_histories() -> None:
+    alphabet = _every_event(2, 2, 2)
+    tids = (1, 2, 3)
+    n = 0
+    for h in H.enumerate_histories(2, 2, 2, max_events=7, max_crashes=1):
+        assert_scans_agree(h, tids)
+        if len(h) <= 4:
+            for e in alphabet:
+                assert_scans_agree(h + (e,), tids)
+        n += 1
+    assert n == 22156
+
+
+@st.composite
+def event_sequences(draw, num_txns: int = 8, max_events: int = 14):
+    """Event sequences over transaction ids 0..num_txns-1 with crashes
+    anywhere.  Each step takes either a move that keeps the sequence
+    durably well-formed, so that long well-formed prefixes occur, or any
+    event at all, a begin response with an abort flag among them."""
+    status: dict = {}
+    h: list[H.Event] = []
+    anything = st.builds(
+        H.Event,
+        ev=st.sampled_from(H.EV_TAGS),
+        tx=st.integers(0, num_txns - 1),
+        addr=st.one_of(st.none(), st.integers(0, 2)),
+        val=st.one_of(st.none(), st.integers(0, 2)),
+        abort=st.booleans(),
+    ).map(lambda e: H.CRASH if e.ev == "crash" else e)
+    for _ in range(draw(st.integers(0, max_events))):
+        kind = draw(st.sampled_from(("move", "move", "move", "crash", "any")))
+        if kind == "crash":
+            h.append(H.CRASH)
+            status = {t: "HALT" for t in status}
+            continue
+        if kind == "any":
+            h.append(draw(anything))
+            continue
+        moves = [(t, ev, ns) for t in range(num_txns)
+                 for ev, ns in H._txn_moves(t, status.get(t, "NS"), 2, 2)]
+        if not moves:
+            continue
+        t, ev, ns = draw(st.sampled_from(moves))
+        if ev.ev == "resBegin" and draw(st.booleans()):
+            ev = ev._replace(abort=True)
+        h.append(ev)
+        status[t] = ns
+    return tuple(h)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(event_sequences())
+@example((H.inv_begin(0), H.Event("resBegin", 0, abort=True),
+          H.inv_read(0, 1), H.res_read(0, 0), H.inv_commit(0)))
+@example((H.inv_begin(3), H.res_begin(3), H.CRASH, H.inv_begin(5),
+          H.inv_read(3, 0)))
+@example((H.inv_begin(1), H.res_begin(1), H.inv_commit(1), H.res_commit(1),
+          H.inv_begin(2), H.res_read(2, 0), H.CRASH))
+def test_scans_agree_with_references_on_arbitrary_sequences(h) -> None:
+    assert_scans_agree(h, range(8), vals=(0,))
+    if not H.durably_well_formed(h):
+        v = durably_opaque(h, range(3), OracleBounds(8, 3, 3))
+        assert not v.ok and v.failing_prefix == ref_first_ill_formed(h)

@@ -22,7 +22,7 @@ import pytest
 
 from durastm import histories as H
 from durastm.dtml import MUTATIONS, DtmlMachine, act
-from durastm.dtms2 import Dtms2Machine, mact
+from durastm.dtms2 import Dtms2Machine, _silent, mact
 
 _DTML_LINES = ("B1", "B2", "R1", "R2", "W1", "W2", "W3", "W4", "W5", "W6",
                "W7", "E1", "E2", "E3")
@@ -178,6 +178,31 @@ def test_dtms2_internal_lists_the_internal_actions_it_enables(
                 a for a in enabled
                 if a.kind in _DTMS2_INTERNAL and a.tx == i + 1], s
         for a in enabled:
+            s2, _ = m.step(s, a)
+            if s2 not in seen:
+                seen.add(s2)
+                frontier.append(s2)
+    assert len(seen) == DTMS2_GRAPHS[dims, durable][0]
+
+
+@pytest.mark.parametrize("dims, durable", list(DTMS2_GRAPHS),
+                         ids=["2x1x2-durable", "2x1x2-crash_free"])
+def test_dtms2_closure_steps_are_those_of_step(dims, durable) -> None:
+    # _closure and _silent apply the actions internal lists without asking
+    # step to check them again; each must reach what step reaches
+    m = Dtms2Machine(H.Domain(*dims), durable=durable)
+    seen = {m.initial()}
+    frontier = [m.initial()]
+    while frontier:
+        s = frontier.pop()
+        for i in range(len(s.pc)):
+            images = {s}
+            for a in m.internal(s, i):
+                s2, ev = m.step(s, a)
+                assert ev is None and m._apply_txn(s, a, i) == (s2, ev), s
+                images.add(s2)
+            assert _silent(m, frozenset({s}), i + 1) == images, s
+        for a in m.enabled(s):
             s2, _ = m.step(s, a)
             if s2 not in seen:
                 seen.add(s2)
