@@ -51,6 +51,10 @@ from .histories import (
 from .nvm import MemoryPair, UndoLog
 
 MUTATIONS = ("skip_flush_W7", "skip_undo_log", "skip_log_clear_E2")
+# the control points of a transaction that is not live: not yet begun, or
+# finished
+NOT_LIVE_PCS = frozenset({"NotStarted", "Committed", "Aborted"})
+
 
 class DtmlAction(NamedTuple):
     """One atomic step: an external event boundary, an algorithm line, a
@@ -233,7 +237,7 @@ class DtmlMachine:
     def _apply_crash(self, s: DtmlState) -> DtmlState:
         pc, loc, in_addr, in_val = s.pc, s.loc, s.in_addr, s.in_val
         for i, p in enumerate(s.pc):
-            if p not in ("NotStarted", "Committed", "Aborted"):
+            if p not in NOT_LIVE_PCS:
                 # a live transaction aborts and loses its snapshot and buffer
                 pc, loc = _with(pc, i, "Aborted"), _with(loc, i, 0)
                 in_addr, in_val = _with(in_addr, i, None), _with(in_val, i, None)

@@ -30,7 +30,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import histories as H
-from .dtml import MUTATIONS, DtmlAction, DtmlMachine, DtmlState
+from .dtml import (MUTATIONS, NOT_LIVE_PCS, DtmlAction, DtmlMachine,
+                   DtmlState)
 from .dtms2 import Acceptor, Dtms2Machine, dtms2_random_walk
 from .opacity import (OracleBounds, durably_opaque, end_to_end_opaque,
                       may_break_opacity)
@@ -70,9 +71,7 @@ _RECOVERY_KINDS = frozenset({"C1", "C2", "C3", "C4", "C5", "C6"})
 # control points that can never hold the write claim; every other point
 # with an odd snapshot (or W3, where glb is already odd but the local
 # snapshot has not incremented yet) is inside the exclusive write region
-_UNCLAIMED_PCS = frozenset(
-    {"NotStarted", "B1", "B2", "BeginResp", "CommitResp", "Committed",
-     "Aborted"})
+_UNCLAIMED_PCS = NOT_LIVE_PCS | {"B1", "B2", "BeginResp", "CommitResp"}
 
 
 @dataclass(frozen=True)
@@ -514,8 +513,7 @@ def _is_continuation(s: DtmlState, a: DtmlAction) -> bool:
     is where committed transactions (and durability bugs) live."""
     if a.kind in _RECOVERY_KINDS:
         return True
-    return a.tx is not None and s.pc[a.tx - 1] not in (
-        "NotStarted", "Committed", "Aborted")
+    return a.tx is not None and s.pc[a.tx - 1] not in NOT_LIVE_PCS
 
 
 def _pick_action(rng: random.Random, cfg: ExplorationConfig,
@@ -530,8 +528,7 @@ def _pick_action(rng: random.Random, cfg: ExplorationConfig,
         # crash did to the committed state
         if (s.syst_pc == "RecIdle"
                 and "Committed" in s.pc
-                and all(pc in ("NotStarted", "Committed", "Aborted")
-                        for pc in s.pc)):
+                and all(pc in NOT_LIVE_PCS for pc in s.pc)):
             return crash_acts[0]
         # backstop: crash while the walk can still run recovery and an
         # observer transaction afterwards

@@ -8,10 +8,19 @@ vocabulary, the matching-response discipline, the crash-erasure and era
 structure used by durable correctness notions, and the completion
 construction that resolves pending invocations.
 
+The per-transaction event grammar (begin first, then invocations alternating
+with their matching responses, until a commit or abort response or a crash
+ends the transaction) is stated once, in the table ``_GRAMMAR``.  The
+well-formedness checks accept events by it, the enumerator generates them
+from it, ``count_histories`` counts its moves, and ``matches``,
+``completions`` and ``real_time_precedes`` read their pairings and endings
+from it.
+
 Events are immutable values; histories are tuples of events.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -21,12 +30,32 @@ INV_TAGS = ("invBegin", "invRead", "invWrite", "invCommit")
 RES_TAGS = ("resBegin", "resRead", "resWrite", "resCommit")
 EV_TAGS = INV_TAGS + RES_TAGS + ("crash",)
 
-_PAIRING = {
-    "invBegin": "resBegin",
-    "invRead": "resRead",
-    "invWrite": "resWrite",
-    "invCommit": "resCommit",
+# The per-transaction grammar of durable well-formedness: for each status
+# of a transaction (NS not started, PB begin pending, RD ready, PR/PW/PC
+# read/write/commit pending, HALT finished: committed, aborted, or cut off by
+# a crash), the event tags it may take next, each with its next status
+# without and with the abort flag.  None marks a tag with no abort response,
+# whose flag is then ignored.  The enumerator takes the tags in this order.
+_NS, _HALT = "NS", "HALT"
+_GRAMMAR = {
+    _NS: {"invBegin": ("PB", None)},
+    "PB": {"resBegin": ("RD", None)},
+    "RD": {"invRead": ("PR", None), "invWrite": ("PW", None),
+           "invCommit": ("PC", None)},
+    "PR": {"resRead": ("RD", _HALT)},
+    "PW": {"resWrite": ("RD", _HALT)},
+    "PC": {"resCommit": (_HALT, _HALT)},
+    _HALT: {},
 }
+# the status each invocation leaves its transaction pending in
+_PENDING = {tag: ok for moves in _GRAMMAR.values()
+            for tag, (ok, _) in moves.items() if tag in INV_TAGS}
+# the tags whose events finish their transaction, without and with the
+# abort flag
+_ENDS = {abort: frozenset(tag for moves in _GRAMMAR.values()
+                          for tag, (ok, ab) in moves.items()
+                          if (ab or ok if abort else ok) == _HALT)
+         for abort in (False, True)}
 
 
 class Event(NamedTuple):
@@ -137,7 +166,7 @@ def matches(inv: Event, res: Event) -> bool:
     return (
         is_invocation(inv)
         and is_response(res)
-        and res.ev == _PAIRING[inv.ev]
+        and res.ev in _GRAMMAR[_PENDING[inv.ev]]
         and res.tx == inv.tx
     )
 
@@ -170,34 +199,16 @@ def eras(h: Sequence[Event]) -> tuple[History, ...]:
     return tuple(out)
 
 
-# per-transaction status of durable well-formedness: NS not started, PB
-# begin pending, RD ready, PR/PW/PC read/write/commit pending, HALT finished
-# (committed, aborted, or cut off by a crash)
-_NS, _HALT = "NS", "HALT"
-# the response each pending status awaits
-_AWAITS = {"PB": "resBegin", "PR": "resRead", "PW": "resWrite",
-           "PC": "resCommit"}
-# the pending status each invocation of a ready transaction enters
-_INVOKES = {"invRead": "PR", "invWrite": "PW", "invCommit": "PC"}
 _CRASHY = "well_formed is defined on crash-free histories"
-# the responses whose abort flag aborts their transaction (all but begin's)
-_ABORTABLE = ("resRead", "resWrite", "resCommit")
 
 
 def _next_status(s: str, e: Event) -> str | None:
     """Status of e's transaction after the crash-free event e, given its
     status s before e, or None when e breaks well-formedness."""
-    ev = e.ev
-    if s == _NS:
-        return "PB" if ev == "invBegin" else None
-    if s == "RD":
-        return _INVOKES.get(ev)
-    if _AWAITS.get(s) != ev:
+    nexts = _GRAMMAR[s].get(e.ev)
+    if nexts is None:
         return None
-    # a begin response never ends a transaction, whatever its flag
-    if ev == "resCommit" or (e.abort and ev in _ABORTABLE):
-        return _HALT
-    return "RD"
+    return (nexts[1] or nexts[0]) if e.abort else nexts[0]
 
 
 def _ill_formed_at(h: Sequence[Event], crashes: bool) -> int | None:
@@ -283,17 +294,6 @@ def non_interleaved(h: Sequence[Event]) -> bool:
     return True
 
 
-def _matching_responses(inv: Event, value_domain: tuple[int, ...]) -> list[Event]:
-    t = inv.tx
-    if inv.ev == "invBegin":
-        return [res_begin(t)]  # begin has no abort response
-    if inv.ev == "invRead":
-        return [res_read(t, v) for v in value_domain] + [res_read_abort(t)]
-    if inv.ev == "invWrite":
-        return [res_write(t), res_write_abort(t)]
-    return [res_commit(t), res_commit_abort(t)]
-
-
 def completions(h: Sequence[Event], value_domain) -> Iterator[History]:
     """All ways of resolving pending invocations: each is independently
     dropped or answered with a matching response appended at the end.
@@ -323,7 +323,10 @@ def completions_unchecked(h: History, value_domain) -> Iterator[History]:
         odd[e.tx] = not odd.get(e.tx)
     pend = sorted((pos, h[pos]) for t, pos in last.items()
                   if odd[t] and h[pos].ev in INV_TAGS)
-    options = [[None] + _matching_responses(inv, vals) for _, inv in pend]
+    options = []
+    for _, inv in pend:
+        moves = _txn_moves(inv.tx, _PENDING[inv.ev], (), vals)
+        options.append([None] + [res for res, _ in moves])
     for combo in product(*options):
         dropped = {pos for (pos, _), c in zip(pend, combo) if c is None}
         base = (tuple(e for i, e in enumerate(h) if i not in dropped)
@@ -340,7 +343,7 @@ def real_time_precedes(h: Sequence[Event], t1: int, t2: int) -> bool:
         if t == t1:
             if started:
                 return False
-            if e.ev == "resCommit" or (e.abort and e.ev in _ABORTABLE):
+            if e.ev in _ENDS[e.abort]:
                 done = True
         elif t == t2 and not started:
             if not done:
@@ -436,31 +439,23 @@ def wf_step(status: tuple, e: Event) -> tuple | None:
 # direct enumeration of durably well-formed histories ------------------------
 
 
-def _txn_moves(t: int, s, num_addrs: int, num_vals: int):
+def _txn_moves(t: int, s: str, addrs, vals) -> list[tuple[Event, str]]:
     """(event, next status) for every event transaction t may take next in
-    status s, over the given address and value ranges."""
-    if s == _NS:
-        return [(inv_begin(t), "PB")]
-    if s == "PB":
-        return [(res_begin(t), "RD")]
-    if s == "RD":
-        out = [(inv_read(t, a), "PR") for a in range(num_addrs)]
-        out += [
-            (inv_write(t, a, v), "PW")
-            for a in range(num_addrs)
-            for v in range(num_vals)
-        ]
-        out.append((inv_commit(t), "PC"))
-        return out
-    if s == "PR":
-        return [(res_read(t, v), "RD") for v in range(num_vals)] + [
-            (res_read_abort(t), _HALT)
-        ]
-    if s == "PW":
-        return [(res_write(t), "RD"), (res_write_abort(t), _HALT)]
-    if s == "PC":
-        return [(res_commit(t), _HALT), (res_commit_abort(t), _HALT)]
-    return []
+    status s, with its addresses and values drawn from addrs and vals."""
+    out = []
+    for tag, (ok, ab) in _GRAMMAR[s].items():
+        if tag == "invRead":
+            out += [(Event(tag, t, addr=a), ok) for a in addrs]
+        elif tag == "invWrite":
+            out += [(Event(tag, t, addr=a, val=v), ok)
+                    for a in addrs for v in vals]
+        elif tag == "resRead":
+            out += [(Event(tag, t, val=v), ok) for v in vals]
+        else:
+            out.append((Event(tag, t), ok))
+        if ab is not None:
+            out.append((Event(tag, t, abort=True), ab))
+    return out
 
 
 def enumerate_histories(
@@ -476,13 +471,14 @@ def enumerate_histories(
     exactly once, parents before extensions.
     """
     hist: list[Event] = []
+    addrs, vals = range(num_addrs), range(num_vals)
 
     def walk(status: tuple, crashes: int) -> Iterator[History]:
         yield tuple(hist)
         if len(hist) == max_events:
             return
         for t in range(1, num_txns + 1):
-            for ev, ns in _txn_moves(t, status[t - 1], num_addrs, num_vals):
+            for ev, ns in _txn_moves(t, status[t - 1], addrs, vals):
                 hist.append(ev)
                 yield from walk(status[: t - 1] + (ns,) + status[t:], crashes)
                 hist.pop()
@@ -503,21 +499,12 @@ def count_histories(
 ) -> int:
     """Size of the enumerate_histories tree, computed by dynamic programming
     over per-transaction shapes (cheap even where enumeration is not)."""
-    # move multiplicities per counting state; read targets collapse since the
-    # response fan-out does not depend on the address
-    mult = {
-        _NS: ((1, "PB"),),
-        "PB": ((1, "RD"),),
-        "RD": (
-            (num_addrs, "PR"),
-            (num_addrs * num_vals, "PW"),
-            (1, "PC"),
-        ),
-        "PR": ((num_vals, "RD"), (1, _HALT)),
-        "PW": ((1, "RD"), (1, _HALT)),
-        "PC": ((2, _HALT),),
-        _HALT: (),
-    }
+    # move multiplicities per status: the moves that lead to the same next
+    # status count alike, whatever their events
+    addrs, vals = range(num_addrs), range(num_vals)
+    mult = {s: tuple((m, ns) for ns, m in Counter(
+                ns for _, ns in _txn_moves(1, s, addrs, vals)).items())
+            for s in _GRAMMAR}
 
     @lru_cache(maxsize=None)
     def cnt(status: tuple, crashes_left: int, depth: int) -> int:

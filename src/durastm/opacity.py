@@ -117,13 +117,6 @@ class Verdict:
     failing_prefix: int | None = None
     reason: str = ""
 
-    def as_dict(self) -> dict:
-        d: dict = {"ok": self.ok}
-        if not self.ok:
-            d["failing_prefix"] = self.failing_prefix
-            d["reason"] = self.reason
-        return d
-
 
 def _check_bounds(h: Sequence[Event], value_domain, bounds: OracleBounds | None) -> None:
     b = bounds or OracleBounds()
@@ -418,6 +411,9 @@ def _pending(h: History) -> list[tuple[int, Event]]:
     return out
 
 
+# a second statement of the matching responses, apart from the grammar table
+# in ``histories`` on purpose: A9 compares two independent derivations, so
+# this strategy shares no completion code with ``end_to_end_opaque``
 def _responses_for(inv: Event, vals: tuple[int, ...]) -> list[Event]:
     t = inv.tx
     if inv.ev == "invBegin":

@@ -26,9 +26,10 @@ a soft layer: steps where no candidate satisfies it are flagged for review
 but do not fail the run.
 
 A writer that has passed the log-clear line is treated as already
-committed: its writes no longer count as in-flight (``writes``) and the
-version counter is read one bump ahead (``logical_glb``).  That line is
-where the intended matching automaton run takes its writer-commit step.
+committed: its writes no longer count as in-flight (``_live_writer``)
+and the version counter is read one bump ahead (``logical_glb``).  That
+line is where the intended matching automaton run takes its writer-commit
+step.
 
 ``check_weak_sim`` replays a durable-automaton schedule against the
 crash-free automaton, erasing crash steps and shifting snapshot indices by
@@ -40,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .dtml import DtmlAction, DtmlMachine, DtmlState
+from .dtml import NOT_LIVE_PCS, DtmlAction, DtmlMachine, DtmlState
 from .dtms2 import (
     Acceptor,
     AcceptResult,
@@ -67,7 +68,6 @@ _PC_TABLE = {
     "Committed": "committed", "Aborted": "aborted",
 }
 
-_TERMINAL_PCS = ("NotStarted", "Committed", "Aborted")
 # between the counter claim and the volatile-store update the writer's
 # abstract write set legitimately lags its odd location snapshot
 _PARITY_EXEMPT_PCS = frozenset({"W4", "W5", "W6"})
@@ -87,13 +87,6 @@ def _live_writer(cs: DtmlState) -> int | None:
     if w is None or cs.pc[w - 1] == "E3":
         return None
     return w
-
-
-def writes(cs: DtmlState, as_: Dtms2State):
-    """The active writer's abstract write set, taken as empty once the
-    writer has passed the log-clear line (its commit is then counted)."""
-    w = _live_writer(cs)
-    return () if w is None else as_.wr_set[w - 1]
 
 
 def logical_glb(cs: DtmlState) -> int:
@@ -142,11 +135,6 @@ def global_rel_for(cs: DtmlState) -> Callable[[Dtms2State], str | None]:
     return clause
 
 
-def global_rel_clause(cs: DtmlState, as_: Dtms2State) -> str | None:
-    """First violated clause of the global state relation, or None."""
-    return global_rel_for(cs)(as_)
-
-
 def txn_rel_clause(cs: DtmlState, as_: Dtms2State, t: int) -> str | None:
     """First violated clause of the per-transaction correspondence for
     transaction t, or None.  This layer is a reconstruction and is
@@ -162,7 +150,7 @@ def txn_rel_clause(cs: DtmlState, as_: Dtms2State, t: int) -> str | None:
     if pc in ("W1", "W2", "W3", "W4", "W5", "W6") and (
             as_.cur_addr[i] != cs.in_addr[i] or as_.cur_val[i] != cs.in_val[i]):
         return f"txnRel.writeArgs(t={t})"
-    in_flight = pc not in _TERMINAL_PCS
+    in_flight = pc not in NOT_LIVE_PCS
     # snapshot consistency for in-flight readers still on the current
     # version (the writer validates through its commit step instead)
     if in_flight and t != cs.writer and cs.loc[i] == cs.glb:
@@ -257,15 +245,6 @@ class ForwardSimReport:
     soft_flag_count: int = 0
     final_witness: SimWitness | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "stepsChecked": self.steps_checked,
-            "hardFailure": self.hard_failure,
-            "softFlags": self.soft_flags,
-            "softFlagCount": self.soft_flag_count,
-        }
-
 
 def check_forward_sim(domain: Domain, schedule,
                       mutation: str | None = None) -> ForwardSimReport:
@@ -323,15 +302,6 @@ class WeakSimReport:
     failed_at: int | None = None
     durable_history: History = ()
     target_history: History = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "reason": self.reason,
-            "failedAt": self.failed_at,
-            "durableHistory": [event_to_json(e) for e in self.durable_history],
-            "targetHistory": [event_to_json(e) for e in self.target_history],
-        }
 
 
 def check_weak_sim(dm: Dtms2Machine, tm: Dtms2Machine,

@@ -207,8 +207,8 @@ def _random_dwf_history(rng: random.Random, length: int,
     h: list[H.Event] = []
     while len(h) < length:
         moves = [ev for t, s in enumerate(status, start=1)
-                 for ev, _ in H._txn_moves(t, s, DOMAIN.num_addrs,
-                                           DOMAIN.num_vals)]
+                 for ev, _ in H._txn_moves(t, s, range(DOMAIN.num_addrs),
+                                           range(DOMAIN.num_vals))]
         if crashes < max_crashes:
             moves.append(H.CRASH)
         if not moves:

@@ -8,6 +8,7 @@ Frozen expectations:
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from itertools import product
 
@@ -206,6 +207,36 @@ def test_enumerate_histories_small_count_matches_dp() -> None:
         walked = list(H.enumerate_histories(2, 2, 2, n, max_crashes=1))
         assert len(walked) == H.count_histories(2, 2, 2, n, max_crashes=1)
         assert len(set(walked)) == len(walked)
+
+
+# enumerate_histories and count_histories both read the grammar table, so
+# their agreement cannot show a wrong table; these pins can: the count and
+# the sha256 of the repr lines of every history of <= 6 events and 1 crash
+@pytest.mark.parametrize("domain, count, digest", [
+    ((3, 1, 2), 8_735,
+     "4dbbab01ae774aec7ce2ae0192e5628704ec5a35bb37cf1fdfdd841ed776d98c"),
+    ((2, 2, 3), 6_578,
+     "c85085b4ed603ecc55c1841e13834c1f51fd16e3bc0c80024f7a25e5dc489a96"),
+    ((1, 3, 3), 1_421,
+     "b9373c439acede6d84de77652eaad9108cba300f3ade59bb9b160d6901131b50"),
+])
+def test_enumerate_histories_beyond_two_txns_is_unchanged(
+        domain, count, digest) -> None:
+    walked = list(H.enumerate_histories(*domain, 6, max_crashes=1))
+    assert len(walked) == count == H.count_histories(*domain, 6,
+                                                     max_crashes=1)
+    lines = "\n".join(map(repr, walked)).encode()
+    assert hashlib.sha256(lines).hexdigest() == digest
+
+
+@pytest.mark.parametrize("domain, max_events, max_crashes, count", [
+    ((2, 2, 2), 12, 1, 136_623_852),
+    ((3, 2, 2), 10, 2, 58_841_901),
+])
+def test_count_histories_deep_is_unchanged(domain, max_events, max_crashes,
+                                           count) -> None:
+    assert H.count_histories(*domain, max_events,
+                             max_crashes=max_crashes) == count
 
 
 def test_enumerate_histories_all_durably_well_formed() -> None:
@@ -453,7 +484,8 @@ def event_sequences(draw, num_txns: int = 8, max_events: int = 14):
             h.append(draw(anything))
             continue
         moves = [(t, ev, ns) for t in range(num_txns)
-                 for ev, ns in H._txn_moves(t, status.get(t, "NS"), 2, 2)]
+                 for ev, ns in H._txn_moves(t, status.get(t, "NS"),
+                                            range(2), range(2))]
         if not moves:
             continue
         t, ev, ns = draw(st.sampled_from(moves))

@@ -5,11 +5,13 @@ module-level name of the package is dead: something in the source, the
 tests, the demos or the benchmark mentions it.  Nor is any module-level
 ``lru_cache`` unbounded, the interning caches of actions aside; and every
 ``lru_cache`` in the source, per-instance memos too, takes its size from a
-named module constant."""
+named module constant.  Every function the benchmark's tracer wraps by name
+still exists."""
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -288,3 +290,32 @@ def test_cache_size_detector_sees_each_form() -> None:
         {"m": source}, frozenset({"m.act", "m.outer.cnt"})) == [
         "m.Memo.__init__:18", "m.also_unbounded:6", "m.default_size:8",
         "m.literal:10", "m.mact:25", "m.unbounded:4"]
+
+
+def _span_target(module: str, path: str):
+    owner = importlib.import_module(module)
+    *parents, attr = path.split(".")
+    for p in parents:
+        owner = getattr(owner, p)
+    return vars(owner)[attr]
+
+
+def test_benchmark_spans_resolve_and_restore() -> None:
+    # the benchmark's tracer wraps package functions by name, so a renamed
+    # function breaks its traced runs; load it by path, as it only reads
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [(module, path) for module, path, _ in spans.SPANS]
+    assert len(targets) >= 20
+    before = [_span_target(*target) for target in targets]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        wrapped = [_span_target(*target) for target in targets]
+    finally:
+        tracer.restore()  # raises if a wrapper is left installed
+    assert all(w is not b for w, b in zip(wrapped, before))
+    assert all(_span_target(*target) is b
+               for target, b in zip(targets, before))

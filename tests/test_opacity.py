@@ -331,8 +331,9 @@ def txn_histories(draw, num_txns: int = 3, num_addrs: int = 2,
     h: list[H.Event] = []
     for _ in range(draw(st.integers(0, max_events))):
         moves = [(t, ev, ns) for t in range(1, num_txns + 1)
-                 for ev, ns in H._txn_moves(t, status[t - 1], num_addrs,
-                                            num_vals)]
+                 for ev, ns in H._txn_moves(t, status[t - 1],
+                                            range(num_addrs),
+                                            range(num_vals))]
         if not moves:
             break
         t, ev, ns = draw(st.sampled_from(moves))

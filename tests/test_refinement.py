@@ -25,11 +25,10 @@ from durastm.refinement import (
     check_forward_sim,
     check_trace_refinement,
     check_weak_sim,
-    global_rel_clause,
+    global_rel_for,
     logical_glb,
     txn_rel_clause,
     write_count,
-    writes,
 )
 
 CFG = H.Domain(2, 2, 2)
@@ -62,11 +61,17 @@ def _abstract(mems=((0, 0),), pc=None, wr1=(), rd1=(), begin1=0):
 
 # relation pieces ---------------------------------------------------------------
 
-def test_writes_follows_writer_until_commit_point() -> None:
+def test_global_rel_counts_writes_in_flight_until_log_clear() -> None:
+    # clause 1 applies the writer's abstract write set only while its writes
+    # are in flight: not without a writer, nor once it has passed the
+    # log-clear line (E3), where the counter is read one bump ahead instead
     a = _abstract(wr1=((0, 1),))
-    assert writes(_concrete(), a) == ()
-    assert writes(_concrete(glb=1, writer=1, writer_pc="W7"), a) == ((0, 1),)
-    assert writes(_concrete(glb=1, writer=1, writer_pc="E3"), a) == ()
+    assert global_rel_for(_concrete())(a) is None
+    w7 = _concrete(glb=1, writer=1, writer_pc="W7")
+    assert global_rel_for(w7)(a) == "globalRel.1"
+    e3 = _concrete(glb=1, writer=1, writer_pc="E3")
+    assert global_rel_for(e3)(
+        _abstract(mems=((0, 0), (0, 0)), wr1=((0, 1),))) is None
 
 
 def test_logical_glb_and_write_count() -> None:
@@ -87,7 +92,7 @@ def test_logical_glb_and_write_count() -> None:
 
 
 def test_global_rel_initial_pair() -> None:
-    assert global_rel_clause(_concrete(), _abstract()) is None
+    assert global_rel_for(_concrete())(_abstract()) is None
 
 
 def test_global_rel_undo_log_restores_snapshot() -> None:
@@ -95,34 +100,35 @@ def test_global_rel_undo_log_restores_snapshot() -> None:
     cs = _concrete(glb=1, writer=1, writer_pc="W7", vstore=(1, 0),
                    log=((0, 0),), loc=(1, 0))
     a = _abstract(pc=("writeResp", "notStarted"), wr1=((0, 1),))
-    assert global_rel_clause(cs, a) is None
+    assert global_rel_for(cs)(a) is None
     # with the log artificially emptied the snapshot cannot be recovered
     cs_bad = cs._replace(log=UndoLog(()))
-    assert global_rel_clause(cs_bad, a) == "globalRel.3"
+    assert global_rel_for(cs_bad)(a) == "globalRel.3"
 
 
 def test_global_rel_other_clause_tags() -> None:
-    assert global_rel_clause(_concrete(vstore=(1, 0)), _abstract()) == "globalRel.1"
-    assert global_rel_clause(_concrete(glb=2), _abstract()) == "globalRel.2"
+    assert global_rel_for(_concrete(vstore=(1, 0)))(_abstract()) \
+        == "globalRel.1"
+    assert global_rel_for(_concrete(glb=2))(_abstract()) == "globalRel.2"
     a = _abstract(pc=("ready", "notStarted"))
-    assert global_rel_clause(_concrete(), a) == "globalRel.4"
+    assert global_rel_for(_concrete())(a) == "globalRel.4"
     # a live writer at W7: volatile memory is the last snapshot with the
     # writer's abstract write set applied
     w7 = _concrete(glb=1, writer=1, writer_pc="W7", vstore=(1, 0),
                    log=((0, 0),), loc=(1, 0))
     pending = ("writeResp", "notStarted")
-    assert global_rel_clause(w7, _abstract(pc=pending, wr1=((0, 1),))) is None
-    assert global_rel_clause(w7, _abstract(pc=pending)) == "globalRel.1"
-    assert global_rel_clause(w7, _abstract(pc=pending, wr1=((1, 1),))) \
+    assert global_rel_for(w7)(_abstract(pc=pending, wr1=((0, 1),))) is None
+    assert global_rel_for(w7)(_abstract(pc=pending)) == "globalRel.1"
+    assert global_rel_for(w7)(_abstract(pc=pending, wr1=((1, 1),))) \
         == "globalRel.1"
     # a writer at E3 has committed: its writes are in the last snapshot and
     # the counter is read one bump ahead, so two snapshots are expected
     e3 = _concrete(glb=1, writer=1, writer_pc="E3", vstore=(1, 0), loc=(1, 0))
     done = ("commitResp", "notStarted")
-    assert global_rel_clause(
-        e3, _abstract(mems=((0, 0), (1, 0)), pc=done, wr1=((0, 1),))) is None
-    assert global_rel_clause(
-        e3, _abstract(mems=((1, 0),), pc=done, wr1=((0, 1),))) == "globalRel.2"
+    assert global_rel_for(e3)(
+        _abstract(mems=((0, 0), (1, 0)), pc=done, wr1=((0, 1),))) is None
+    assert global_rel_for(e3)(
+        _abstract(mems=((1, 0),), pc=done, wr1=((0, 1),))) == "globalRel.2"
 
 
 def test_txn_rel_pc_table_and_parity() -> None:
