@@ -147,7 +147,7 @@ def _config_from(args: argparse.Namespace) -> ExplorationConfig:
         max_crashes=args.max_crashes,
         flush_budget=args.flush_budget,
         max_steps=args.max_steps,
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
         checks=_checks_arg(args.checks),
         mutation=args.mutation,
         num_walks=getattr(args, "walks", 1000),
@@ -187,7 +187,11 @@ def _cmd_check_history(args: argparse.Namespace) -> int:
     # only answer a pending read, which would then read a value nobody
     # wrote, so a larger value domain never changes the verdict
     values = range(domain.num_vals)
-    verdict = durably_opaque(h, values, OracleBounds.covering(domain))
+    # the values are bounded by the trace, since the oracle's cost follows
+    # their count; transactions and addresses keep the default bounds, so
+    # that a trace too large to search is refused rather than searched
+    bounds = OracleBounds(max_vals=max(OracleBounds().max_vals, len(values)))
+    verdict = durably_opaque(h, values, bounds)
     print(f"{len(h)} events, value domain of {len(values)} values")
     if verdict.ok:
         print(f"durable opacity: {_status(True)}")
@@ -249,6 +253,9 @@ def _add_domain_flags(p: argparse.ArgumentParser) -> None:
                    help="crash budget (default 1)")
     p.add_argument("--max-steps", type=int, default=60,
                    help="schedule length bound (default 60)")
+
+
+def _add_seed_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="random seed (default 0)")
 
@@ -289,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fz = sub.add_parser("fuzz", help="seeded random walks of the machine")
     _add_machine_flags(fz)
+    _add_seed_flag(fz)
     fz.add_argument("--checks", default="opacity,refinement",
                     help="comma list from opacity,refinement,simrel,"
                          "invariants (default opacity,refinement)")
@@ -306,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     wk = sub.add_parser("walk-dtms2",
                         help="seeded random walks of the reference automaton")
     _add_domain_flags(wk)
+    _add_seed_flag(wk)
     wk.add_argument("--checks", default="opacity,refinement",
                     help="comma list from opacity,refinement,weaksim "
                          "(default opacity,refinement)")
@@ -329,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     mu = sub.add_parser("mutate",
                         help="verify the checkers catch every fault injection")
     _add_domain_flags(mu)
+    _add_seed_flag(mu)
     mu.add_argument("--flush-budget", type=int, default=1,
                     help="background-flush budget (default 1)")
     mu.add_argument("--mutation", choices=MUTATIONS, default=None,

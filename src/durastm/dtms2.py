@@ -14,12 +14,18 @@ transaction, a begin point, a read set and a write set.
 - A crash aborts every live transaction and truncates the snapshot
   sequence to its final element: exactly the committed state survives.
 
-An abort response may answer any pending read, write, or commit.  Begins
-never answer with an abort, matching the event vocabulary of histories.
+Which event an action emits is stated once, in ``_event``: an abort
+response emits the abort response of the operation pending at its control
+point, a read's response the value the read returned, and every other
+external action its own kind and payload; internal actions emit nothing.
+An abort response is enabled while a read, write or commit is pending, so
+it answers any of them, and never a begin.
 
 Each machine builds its action tables once, from its domain, and both
 ``enabled`` and ``step`` read them: ``step`` accepts exactly the actions
-that ``enabled`` lists.  Successor states are built field by field.
+that ``enabled`` lists.  The same tables, keyed by what ``_event`` reads
+and the event it returns, match an event to the action that emits it.
+Successor states are built field by field.
 
 ``dtms2_accepts`` decides membership of a history in the automaton's traces
 by subset construction, exploring internal transitions between events.
@@ -40,23 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .histories import (
-    CRASH,
-    Domain,
-    Event,
-    History,
-    inv_begin,
-    inv_commit,
-    inv_read,
-    inv_write,
-    res_begin,
-    res_commit,
-    res_commit_abort,
-    res_read,
-    res_read_abort,
-    res_write,
-    res_write_abort,
-)
+from .histories import CRASH, Domain, Event, History, res_read
 
 # entries per acceptor step cache; bounds memory on long sweeps, where an
 # unbounded memo doubled peak RSS for no further speed-up
@@ -146,12 +136,56 @@ def _valid(s: Dtms2State, i: int, by_idx: tuple) -> list:
             if _subset_of(rd, s.mems[n])]
 
 
+_INTERNAL_KINDS = frozenset({"doRead", "doWrite", "doCommitRO", "doCommitW"})
+
+# the response that an abort gives at each control point where it is enabled
+_ABORTED_RESPONSE = {
+    "readPending": "resRead", "readResp": "resRead",
+    "writePending": "resWrite", "writeResp": "resWrite",
+    "commitPending": "resCommit",
+}
+
+# the control point each action leaves its transaction at
+_NEXT_PC = {
+    "invBegin": "beginPending", "resBegin": "ready",
+    "invRead": "readPending", "doRead": "readResp", "resRead": "ready",
+    "invWrite": "writePending", "doWrite": "writeResp", "resWrite": "ready",
+    "invCommit": "commitPending", "doCommitRO": "commitResp",
+    "doCommitW": "commitResp", "resCommit": "committed",
+    "abortResp": "aborted",
+}
+
+
+def _event(a: Dtms2Action, pc: str, cur_val: int | None) -> Event:
+    """The event that external action a emits from control point pc, with
+    cur_val its transaction's current value (the value its read returned):
+    the one statement of which event each action emits.  Internal actions (those of
+    ``_INTERNAL_KINDS``) emit no event and are never passed here."""
+    k = a.kind
+    if k == "abortResp":
+        return Event(_ABORTED_RESPONSE[pc], a.tx, abort=True)
+    if k == "resRead":
+        return res_read(a.tx, cur_val)
+    return Event(k, a.tx, a.addr, a.val)
+
+
+# transactions whose action tables are kept: the tables depend on the
+# domain only and nothing mutates them, so the machines over a domain share
+# them; dtms2_accepts builds a machine per history, and the tables are most
+# of what building one costs
+_TABLES_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=_TABLES_MEMO_SIZE)
 def _txn_tables(t: int, addrs: range, vals: range,
                 ) -> tuple[dict[str, tuple[Dtms2Action, ...]],
-                           dict[str, tuple[Dtms2Action, ...]]]:
-    """Transaction t's internal actions, and its enabled actions (internal
-    ones first), at each control point.  At readPending they are those of a
-    read that its own write set answers, and at commitPending the writer's
+                           dict[str, tuple[Dtms2Action, ...]],
+                           dict[tuple[str, int | None, Event], Dtms2Action]]:
+    """Transaction t's internal actions, its enabled actions (internal
+    ones first), at each control point, and its external actions keyed by
+    what ``_event`` reads (control point and current value) and the event
+    it returns.  At readPending the internal actions are those of a read
+    that its own write set answers, and at commitPending the writer's
     commit; the other reads and commits there depend on the state."""
     abort = mact("abortResp", t)
     internal = {
@@ -177,7 +211,11 @@ def _txn_tables(t: int, addrs: range, vals: range,
     }
     enabled = {pc: internal.get(pc, ()) + acts
                for pc, acts in external.items()}
-    return {pc: internal.get(pc, ()) for pc in external}, enabled
+    emitters = {(pc, v, _event(a, pc, v)): a
+                for pc, acts in external.items() for a in acts
+                for v in (None, *vals)}
+    return ({pc: internal.get(pc, ()) for pc in external}, enabled,
+            emitters)
 
 
 class Dtms2Machine:
@@ -185,7 +223,8 @@ class Dtms2Machine:
 
     The action tables are built once, from the domain: for each transaction
     the actions enabled at each control point, the internal ones among
-    them, and its reads and read-only commits for each snapshot index.
+    them, the external one that emits each event there with each current
+    value, and its reads and read-only commits for each snapshot index.
     ``enabled`` and ``internal`` put their lists together from the tables
     and ``step`` checks its action against the same tables, so enabledness
     has one definition.  Only readPending and commitPending look at the
@@ -197,9 +236,8 @@ class Dtms2Machine:
         self.durable = durable
         addrs, vals = range(domain.num_addrs), range(domain.num_vals)
         self._txn_ids = range(1, domain.num_txns + 1)
-        tables = [_txn_tables(t, addrs, vals) for t in self._txn_ids]
-        self._txn_internal = tuple(internal for internal, _ in tables)
-        self._txn_acts = tuple(enabled for _, enabled in tables)
+        self._txn_internal, self._txn_acts, self._txn_emitters = zip(
+            *(_txn_tables(t, addrs, vals) for t in self._txn_ids))
         self._aborts = tuple(mact("abortResp", t) for t in self._txn_ids)
         # every transaction appends at most one snapshot, and a crash
         # truncates them to one, so indices stay below num_txns + 1
@@ -282,17 +320,12 @@ class Dtms2Machine:
     def _apply_txn(self, s: Dtms2State, a: Dtms2Action,
                    i: int) -> tuple[Dtms2State, Event | None]:
         mems, pc, begin_idx, rd_set, wr_set, cur_addr, cur_val = s
-        t = a.tx
         k = a.kind
-        ev = None
+        ev = None if k in _INTERNAL_KINDS else _event(a, pc[i], cur_val[i])
+        nxt = _NEXT_PC[k]
         if k == "invBegin":
-            nxt, ev = "beginPending", inv_begin(t)
             begin_idx = _with(begin_idx, i, len(mems) - 1)
-        elif k == "resBegin":
-            nxt, ev = "ready", res_begin(t)
-
         elif k == "invRead":
-            nxt, ev = "readPending", inv_read(t, a.addr)
             cur_addr = _with(cur_addr, i, a.addr)
         elif k == "doRead":
             addr = cur_addr[i]
@@ -301,39 +334,16 @@ class Dtms2Machine:
                 # a read its own write set does not answer joins the read set
                 v = mems[a.idx][addr]
                 rd_set = _with(rd_set, i, _put(rd_set[i], addr, v))
-            nxt, cur_val = "readResp", _with(cur_val, i, v)
-        elif k == "resRead":
-            nxt, ev = "ready", res_read(t, cur_val[i])
-
+            cur_val = _with(cur_val, i, v)
         elif k == "invWrite":
-            nxt, ev = "writePending", inv_write(t, a.addr, a.val)
             cur_addr, cur_val = _with(cur_addr, i, a.addr), _with(cur_val, i, a.val)
         elif k == "doWrite":
-            nxt = "writeResp"
             wr_set = _with(wr_set, i, _put(wr_set[i], cur_addr[i], cur_val[i]))
-        elif k == "resWrite":
-            nxt, ev = "ready", res_write(t)
-
-        elif k == "invCommit":
-            nxt, ev = "commitPending", inv_commit(t)
-        elif k == "doCommitRO":
-            nxt = "commitResp"
         elif k == "doCommitW":
             snap = list(mems[-1])
             for addr, v in wr_set[i]:
                 snap[addr] = v
-            nxt, mems = "commitResp", mems + (tuple(snap),)
-        elif k == "resCommit":
-            nxt, ev = "committed", res_commit(t)
-
-        else:  # abortResp
-            nxt = "aborted"
-            if pc[i] in ("readPending", "readResp"):
-                ev = res_read_abort(t)
-            elif pc[i] in ("writePending", "writeResp"):
-                ev = res_write_abort(t)
-            else:
-                ev = res_commit_abort(t)
+            mems = mems + (tuple(snap),)
 
         if nxt in ("ready", "committed", "aborted"):
             cur_addr, cur_val = _with(cur_addr, i, None), _with(cur_val, i, None)
@@ -373,61 +383,33 @@ def _closure(m: Dtms2Machine, states) -> set[Dtms2State]:
 
 
 def _matching_actions(m: Dtms2Machine, s: Dtms2State, e: Event) -> list[Dtms2Action]:
-    if e.ev == "crash":
-        return [mact("crash")] if m.durable else []
-    t = e.tx
-    if t is None or not 1 <= t <= m.domain.num_txns:
+    """The actions enabled in s that emit e, in the order ``enabled`` lists
+    them: the one the tables key under e and its transaction's control
+    point and current value in s.  An event outside the domain has no key,
+    so no action."""
+    if e == CRASH:
+        return list(m._tail)
+    if e.tx not in m._txn_ids:
         return []
-    i = t - 1
-    pc = s.pc[i]
-    ev = e.ev
-    if ev == "invBegin":
-        return [mact("invBegin", t)] if pc == "notStarted" else []
-    if ev == "resBegin":
-        return [mact("resBegin", t)] if pc == "beginPending" else []
-    if ev == "invRead":
-        if pc == "ready" and 0 <= e.addr < m.domain.num_addrs:
-            return [mact("invRead", t, addr=e.addr)]
-        return []
-    if ev == "resRead":
-        if e.abort:
-            return [mact("abortResp", t)] if pc in ("readPending", "readResp") else []
-        if pc == "readResp" and s.cur_val[i] == e.val:
-            return [mact("resRead", t)]
-        return []
-    if ev == "invWrite":
-        if (pc == "ready" and 0 <= e.addr < m.domain.num_addrs
-                and 0 <= e.val < m.domain.num_vals):
-            return [mact("invWrite", t, addr=e.addr, val=e.val)]
-        return []
-    if ev == "resWrite":
-        if e.abort:
-            return [mact("abortResp", t)] if pc in ("writePending", "writeResp") else []
-        return [mact("resWrite", t)] if pc == "writeResp" else []
-    if ev == "invCommit":
-        return [mact("invCommit", t)] if pc == "ready" else []
-    if ev == "resCommit":
-        if e.abort:
-            return [mact("abortResp", t)] if pc == "commitPending" else []
-        return [mact("resCommit", t)] if pc == "commitResp" else []
-    return []
+    i = e.tx - 1
+    a = m._txn_emitters[i].get((s.pc[i], s.cur_val[i], e))
+    return [] if a is None else [a]
+
+
+def _match(m: Dtms2Machine, frame, e: Event) -> frozenset:
+    """Every state that one action emitting e takes a state of frame to."""
+    images = set()
+    for s in frame:
+        for a in _matching_actions(m, s, e):
+            if a.tx is None:  # the crash
+                images.add(m._apply_crash(s))
+            else:
+                images.add(m._apply_txn(s, a, a.tx - 1)[0])
+    return frozenset(images)
 
 
 def _advance(m: Dtms2Machine, frame: frozenset, e: Event) -> frozenset:
-    successors = set()
-    for s in _closure(m, frame):
-        for a in _matching_actions(m, s, e):
-            s2, emitted = m.step(s, a)
-            if emitted != e:
-                raise AssertionError(
-                    f"matched action {a} emitted {emitted}, wanted {e}")
-            successors.add(s2)
-    return frozenset(successors)
-
-
-def _match(m: Dtms2Machine, frame: frozenset, e: Event) -> frozenset:
-    return frozenset(m.step(s, a)[0] for s in frame
-                     for a in _matching_actions(m, s, e))
+    return _match(m, _closure(m, frame), e)
 
 
 def _silent(m: Dtms2Machine, frame: frozenset, tx: int | None) -> frozenset:

@@ -86,10 +86,11 @@ def test_domain_beyond_default_oracle_bounds_is_checked(capsys,
     ["fuzz", "--force"],
     ["walk-dtms2", "--force"],
     ["mutate", "--force"],
+    ["explore", "--seed", "1"],
 ])
 def test_flags_no_command_reads_are_refused(capsys, argv) -> None:
     assert main(argv + ["--walks", "1"]) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,6 +304,25 @@ def test_check_history_cost_follows_value_count_not_size(tmp_path,
                 str(p))
     assert main(["check-history", "--in", str(p)]) == 0
     assert "value domain of 5 values" in capsys.readouterr().out
+
+
+def test_check_history_refuses_more_transactions_than_the_oracle_bound(
+        tmp_path, capsys) -> None:
+    # eight transactions leave a write pending and a ninth reads a value
+    # none of them wrote: the oracle would search the completions of every
+    # pending write, so the trace is refused by the default bound of four
+    # transactions, while its values are still bounded by the trace alone
+    h = tuple(e for t in range(1, 9)
+              for e in (H.inv_begin(t), H.res_begin(t), H.inv_write(t, 0, 1)))
+    h += (H.inv_begin(9), H.res_begin(9), H.inv_read(9, 0),
+          H.res_read(9, 2), H.inv_commit(9), H.res_commit(9))
+    p = tmp_path / "wide.jsonl"
+    write_trace(h, str(p))
+    assert main(["check-history", "--in", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "error: more than 4 transactions" in captured.err
+    assert "Traceback" not in captured.err
+    assert main(["check-refinement", "--in", str(p)]) == 1
 
 
 _SIZE_FLAGS = {"--txns": "num_txns", "--addrs": "num_addrs",

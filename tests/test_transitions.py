@@ -22,7 +22,7 @@ import pytest
 
 from durastm import histories as H
 from durastm.dtml import MUTATIONS, DtmlMachine, act
-from durastm.dtms2 import Dtms2Machine, _silent, mact
+from durastm.dtms2 import Dtms2Machine, _matching_actions, _silent, mact
 
 _DTML_LINES = ("B1", "B2", "R1", "R2", "W1", "W2", "W3", "W4", "W5", "W6",
                "W7", "E1", "E2", "E3")
@@ -207,4 +207,48 @@ def test_dtms2_closure_steps_are_those_of_step(dims, durable) -> None:
             if s2 not in seen:
                 seen.add(s2)
                 frontier.append(s2)
+    assert len(seen) == DTMS2_GRAPHS[dims, durable][0]
+
+
+def dtms2_events(d: H.Domain) -> list:
+    """Every event of the history vocabulary over transactions 0..n+1,
+    addresses 0..num_addrs and values 0..num_vals, so one past each bound
+    of the domain and below its transaction ids, and the crash; and each
+    of them with the abort flag set, which only the abort responses
+    carry."""
+    addrs, vals = range(d.num_addrs + 1), range(d.num_vals + 1)
+    out = [H.CRASH]
+    for t in range(d.num_txns + 2):
+        out += [H.inv_begin(t), H.res_begin(t), H.res_read_abort(t),
+                H.res_write(t), H.res_write_abort(t), H.inv_commit(t),
+                H.res_commit(t), H.res_commit_abort(t)]
+        out += [H.inv_read(t, a) for a in addrs]
+        out += [H.res_read(t, v) for v in vals]
+        out += [H.inv_write(t, a, v) for a in addrs for v in vals]
+    return out + [e._replace(abort=True) for e in out if not e.abort]
+
+
+@pytest.mark.parametrize("dims, durable", list(DTMS2_GRAPHS),
+                         ids=["2x1x2-durable", "2x1x2-crash_free"])
+def test_dtms2_matching_actions_are_the_enabled_ones_that_emit_the_event(
+        dims, durable) -> None:
+    # the acceptor's steps take the actions _matching_actions lists without
+    # asking step; at every reachable state they must be, in enabled order,
+    # exactly the enabled actions whose step emits the event
+    d = H.Domain(*dims)
+    m = Dtms2Machine(d, durable=durable)
+    events = dtms2_events(d)
+    seen = {m.initial()}
+    frontier = [m.initial()]
+    while frontier:
+        s = frontier.pop()
+        emitters: dict = {}
+        for a in m.enabled(s):
+            s2, ev = m.step(s, a)
+            emitters.setdefault(ev, []).append(a)
+            if s2 not in seen:
+                seen.add(s2)
+                frontier.append(s2)
+        for e in events:
+            assert _matching_actions(m, s, e) == emitters.get(e, []), (s, e)
     assert len(seen) == DTMS2_GRAPHS[dims, durable][0]
