@@ -19,6 +19,19 @@ background flush changes nothing but the persistent store, which only the
 store-diff invariant reads, so a flush edge keeps the verdicts of its
 source.  A path
 ends at its first violation; the recorded counterexample is that prefix.
+
+A forward simulation implies trace inclusion, and the two frames show it:
+the simulation frame ``sim`` only ever takes images of the trace frame's
+own steps (a silent step adds internal successors, which the closure
+already holds; an event step is the trace step's match without the
+closure) and then prunes them.  So after every edge ``sim`` lies inside
+the internal closure of ``trace``, and after every event edge inside
+``trace`` itself, and a non-empty ``sim`` implies a non-empty ``trace``.
+When both checks run, a path therefore carries ``sim`` alone, and
+refinement is decided by replaying the history through the acceptor only
+at an event where ``sim`` empties or opacity fails; the verdicts are those
+of carrying both frames.  Exhaustive ``context`` dedup keys on the whole
+path record, so there both frames are carried.
 """
 from __future__ import annotations
 
@@ -62,6 +75,11 @@ MAX_BEGIN_RETRIES = 2
 # history again, and on the 28-step 2x2x2 sweep 64 entries already hold
 # 2,731 of the 2,746 repeats that an unbounded memo would find
 OPACITY_MEMO_SIZE = 64
+
+# simulation-frame prunings each exploration run remembers, keyed on the
+# image frame and the concrete state: edges repeat both, and on the 28-step
+# 2x2x2 sweep 1,024 entries hold 43,208 of the 81,341 calls (26,425 keys)
+SIM_MEMO_SIZE = 1024
 
 # when a walk must still crash, do so while enough steps remain for
 # recovery plus one observer transaction, or the crash can prove nothing
@@ -177,6 +195,9 @@ class CheckReport:
     # and the first ten distinct "action: clause" texts
     txn_rel_flag_count: int = 0
     txn_rel_flags: tuple[str, ...] = ()
+    # the run's settings (see _config_block), so that a report says what
+    # it covers
+    config: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -190,6 +211,7 @@ class CheckReport:
             "elapsed": self.elapsed,
             "txn_rel_flag_count": self.txn_rel_flag_count,
             "txn_rel_flags": list(self.txn_rel_flags),
+            "config": self.config,
             "violations": [
                 {"check": v.check,
                  "history": [H.event_to_json(e) for e in v.history],
@@ -197,6 +219,22 @@ class CheckReport:
                 for v in self.violations
             ],
         }
+
+
+def _config_block(cfg: ExplorationConfig, dedup: str | None) -> dict:
+    """The settings a report covers: ``dedup`` is the resolved policy by
+    which the run cut paths, None when it cut none."""
+    d = cfg.domain
+    return {
+        "domain": {"num_txns": d.num_txns, "num_addrs": d.num_addrs,
+                   "num_vals": d.num_vals},
+        "dedup": dedup,
+        "max_steps": cfg.max_steps,
+        "max_crashes": cfg.max_crashes,
+        "flush_budget": cfg.flush_budget,
+        "checks": list(cfg.checks),
+        "mutation": cfg.mutation,
+    }
 
 
 def canonical_hash(state: DtmlState) -> str:
@@ -264,7 +302,11 @@ class _Path(NamedTuple):
     background flushes the path took, and per transaction how often a
     begin re-read an odd (claimed) counter at B2.  ``trace`` and ``sim``
     are the automaton candidate sets of the refinement and simrel checks
-    (None when the check is off), and ``soft`` the per-transaction clauses
+    (None when the check is off).  ``sim`` lies inside the internal
+    closure of ``trace`` after every edge and inside ``trace`` after every
+    event edge, so when both checks run ``trace`` is None unless the dedup
+    key reads it: a non-empty ``sim`` already proves the trace accepted.
+    ``soft`` holds the per-transaction clauses
     that no member of ``sim`` satisfies at the path's last state (empty
     when the check is off); being a function of that state and ``sim``,
     it splits no dedup class.  ``dirty`` holds the addresses written back
@@ -296,15 +338,25 @@ def _spend(budgets: tuple, s: DtmlState, a: DtmlAction) -> tuple:
 
 class _Pipeline:
     """Per-edge checking shared by exhaustive and random exploration; it
-    collects the run's violations and soft flags in ``report``."""
+    collects the run's violations and soft flags in ``report``.
 
-    def __init__(self, cfg: ExplorationConfig) -> None:
+    ``dedup`` is the policy by which the run cuts paths, None when it
+    cuts none.  When both automaton checks run, the simulation frame
+    decides refinement and paths carry no trace frame (``replay``), unless
+    the dedup keys read the whole path record, as under ``context``.
+    """
+
+    def __init__(self, cfg: ExplorationConfig,
+                 dedup: str | None = None) -> None:
         self.cfg = cfg
-        self.checks = cfg.check_set
+        checks = self.checks = cfg.check_set
         self.machine = DtmlMachine(cfg.domain, mutation=cfg.mutation)
         self.acceptor = None
-        if self.checks & {"refinement", "simrel"}:
+        if checks & {"refinement", "simrel"}:
             self.acceptor = Acceptor(Dtms2Machine(cfg.domain))
+        self.replay = ({"refinement", "simrel"} <= checks
+                       and dedup != "context")
+        self.sim_filter = lru_cache(maxsize=SIM_MEMO_SIZE)(sim_filter)
         value_domain = range(cfg.domain.num_vals)
         bounds = OracleBounds.covering(cfg.domain)
 
@@ -315,7 +367,7 @@ class _Pipeline:
             return end_to_end_opaque(history, value_domain, bounds)
 
         self.opacity = opacity
-        self.report = CheckReport()
+        self.report = CheckReport(config=_config_block(cfg, dedup))
 
     def start(self, s0: DtmlState) -> _Path:
         """The path record of the empty schedule at the initial state
@@ -324,17 +376,18 @@ class _Pipeline:
         verdicts, and the first source is ``s0``."""
         n = self.cfg.domain.num_txns
         acc, checks = self.acceptor, self.checks
-        trace = acc.initial() if "refinement" in checks else None
+        trace = (acc.initial() if "refinement" in checks and not self.replay
+                 else None)
         sim, soft = None, ()
         if "simrel" in checks:
-            sim, hard, soft = sim_filter(acc.initial(), s0)
+            sim, hard, soft = self.sim_filter(acc.initial(), s0)
             if hard:
                 raise AssertionError(
                     "state relation must hold at the initial pair")
         if ("invariants" in checks
                 and _invariant_violation(s0, frozenset()) is not None):
             raise AssertionError("invariants must hold at the initial state")
-        return _Path((0, 0, (0,) * n), trace, sim, tuple(soft), frozenset(),
+        return _Path((0, 0, (0,) * n), trace, sim, soft, frozenset(),
                      H.wf_start(n))
 
     def allowed(self, s: DtmlState, path: _Path) -> list[DtmlAction]:
@@ -355,7 +408,10 @@ class _Pipeline:
 
         Returns the path record after the step, or None when the step
         broke a check.  A failing event is reported under every check it
-        breaks, so one counterexample can carry several verdicts.
+        breaks, so one counterexample can carry several verdicts.  Where
+        the path carries no trace frame, refinement is decided by replaying
+        the history only at an event where opacity fails or ``sim``
+        empties: elsewhere a non-empty ``sim`` proves the trace accepted.
 
         A background flush copies one address from the volatile to the
         persistent store, and only ``invariant.flushDiff`` reads the
@@ -395,22 +451,35 @@ class _Pipeline:
             if trace is not None:
                 trace = _advance_trace(self.acceptor, trace, ev)
                 if not trace:
-                    viols.append(Violation(
-                        "refinement", tuple(events),
-                        {"at_event": at, "event": str(ev)}))
+                    viols.append(self._rejected(events))
+            elif (viols and self.replay
+                  and not self.acceptor.accepts(tuple(events))):
+                viols.append(self._rejected(events))
             if viols:
                 report.violations.extend(viols)
                 return None
         if sim is not None:
-            sim, hard, soft = sim_step(self.acceptor, sim, a, s2, ev)
+            sim, hard, soft = sim_step(self.acceptor, sim, a, s2, ev,
+                                       prune=self.sim_filter)
             if hard:
-                report.violations.append(Violation(
-                    "simrel", tuple(events),
-                    {"action": str(a), "clauses": hard}))
+                if (ev is not None and self.replay
+                        and not self.acceptor.accepts(tuple(events))):
+                    report.violations.append(self._rejected(events))
+                else:
+                    report.violations.append(Violation(
+                        "simrel", tuple(events),
+                        {"action": str(a), "clauses": list(hard)}))
                 return None
-            soft = tuple(soft)
             self._flag(a, soft)
         return _Path(_spend(path.budgets, s, a), trace, sim, soft, dirty, wf)
+
+    @staticmethod
+    def _rejected(events: list[H.Event]) -> Violation:
+        """The refinement violation of a history whose last event the
+        automaton cannot take."""
+        return Violation("refinement", tuple(events),
+                         {"at_event": len(events) - 1,
+                          "event": str(events[-1])})
 
     def _flag(self, a: DtmlAction, soft: tuple[str, ...]) -> None:
         """Report a step after which no candidate satisfies the
@@ -446,12 +515,13 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
     every named check has at least one recorded violation.
     """
     cfg.validate(_MACHINE_CHECKS, exhaustive=True)
-    pipe = _Pipeline(cfg)
+    context_dedup = cfg.dedup_policy == "context"
+    pipe = _Pipeline(cfg, cfg.dedup_policy)
     machine = pipe.machine
     report = pipe.report
-    context_dedup = cfg.dedup_policy == "context"
-    # state -> {dedup key: the most remaining depth it was expanded with}
-    visited: dict[DtmlState, dict] = {}
+    # dedup key (the state, or the state and its path record) -> the most
+    # remaining depth it was expanded with
+    visited: dict = {}
     events: list[H.Event] = []
     start = time.perf_counter()
     stopped = False
@@ -469,12 +539,11 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
         # with at least as much remaining depth — a revisit with more
         # steps left can reach continuations the first visit could not
         remaining = cfg.max_steps - depth
-        depths = visited.setdefault(s, {})
-        key = path if context_dedup else None
-        if depths.get(key, -1) >= remaining:
+        key = (s, path) if context_dedup else s
+        if visited.get(key, -1) >= remaining:
             finish_path()
             return
-        depths[key] = remaining
+        visited[key] = remaining
         if depth >= cfg.max_steps:
             finish_path()
             return
@@ -499,7 +568,8 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
 
     s0 = machine.initial()
     dfs(s0, 0, pipe.start(s0))
-    report.states_visited = len(visited)
+    report.states_visited = (len({s for s, _ in visited}) if context_dedup
+                             else len(visited))
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -608,7 +678,7 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
     erased.
     """
     cfg.validate(_REFERENCE_CHECKS)
-    report = CheckReport()
+    report = CheckReport(config=_config_block(cfg, None))
     bounds = OracleBounds.covering(cfg.domain)
     durable = Dtms2Machine(cfg.domain)
     crash_free = Dtms2Machine(cfg.domain, durable=False)

@@ -14,7 +14,10 @@ ends the transaction) is stated once, in the table ``_GRAMMAR``.  The
 well-formedness checks accept events by it, the enumerator generates them
 from it, ``count_histories`` counts its moves, and ``matches``,
 ``completions`` and ``real_time_precedes`` read their pairings and endings
-from it.
+from it.  Which fields each tag carries, and what a response returns, is
+stated once too, in ``_FIELDS``: the enumerator draws the payloads it
+names, ``event_from_json`` allows exactly those fields, and ``rval`` reads
+its response values.
 
 Events are immutable values; histories are tuples of events.
 """
@@ -56,6 +59,27 @@ _ENDS = {abort: frozenset(tag for moves in _GRAMMAR.values()
                           for tag, (ok, ab) in moves.items()
                           if (ab or ok if abort else ok) == _HALT)
          for abort in (False, True)}
+# the tags that have an abort response
+_ABORTABLE = frozenset(tag for moves in _GRAMMAR.values()
+                       for tag, (_, ab) in moves.items() if ab is not None)
+
+# The fields each tag carries besides its transaction, in order ("addr" an
+# address, "val" a value), and what a response returns when it carries
+# none; a response with a field returns it.  An aborted response carries no
+# field and returns "abort".
+_FIELDS = {
+    "invBegin": ((), None), "resBegin": ((), "ok"),
+    "invRead": (("addr",), None), "resRead": (("val",), None),
+    "invWrite": (("addr", "val"), None), "resWrite": ((), "ok"),
+    "invCommit": ((), None), "resCommit": ((), "commit"),
+}
+# what each response returns unless aborted, None where it returns its field
+_RETURNS = {tag: word for tag, (_, word) in _FIELDS.items()
+            if tag in RES_TAGS}
+
+# (transaction, status, addresses, values) move lists each process keeps:
+# the enumerator asks for the same few again at every node
+_MOVES_MEMO_SIZE = 256
 
 
 class Event(NamedTuple):
@@ -151,15 +175,13 @@ def is_crash(e: Event) -> bool:
 def rval(e: Event):
     """Response value of e: a value for successful reads, ok / commit /
     abort for the other responses, None for invocations and crashes."""
-    if e.ev == "resBegin":
-        return "ok"
-    if e.ev == "resRead":
-        return "abort" if e.abort else e.val
-    if e.ev == "resWrite":
-        return "abort" if e.abort else "ok"
-    if e.ev == "resCommit":
-        return "abort" if e.abort else "commit"
-    return None
+    ev = e.ev
+    if ev not in _RETURNS:
+        return None
+    if e.abort and ev in _ABORTABLE:
+        return "abort"
+    word = _RETURNS[ev]
+    return e.val if word is None else word
 
 
 def matches(inv: Event, res: Event) -> bool:
@@ -386,23 +408,14 @@ def event_from_json(d: object) -> Event:
             raise ValueError("crash event carries no other fields")
         return CRASH
     tx = _want_int(d, "tx", low=1)
-    if ev in ("invBegin", "resBegin", "invCommit"):
-        allowed = {"ev", "tx"}
-    elif ev == "invRead":
-        allowed = {"ev", "tx", "addr"}
-    elif ev == "invWrite":
-        allowed = {"ev", "tx", "addr", "val"}
-    elif ev == "resRead":
-        allowed = {"ev", "tx", "abort"} if d.get("abort") else {"ev", "tx", "val"}
-    else:  # resWrite, resCommit
-        allowed = {"ev", "tx"} | ({"abort"} if "abort" in keys else set())
-    if keys != allowed:
+    aborted = "abort" in keys and ev in _ABORTABLE
+    fields = () if aborted else _FIELDS[ev][0]
+    if keys != {"ev", "tx", *fields} | ({"abort"} if aborted else set()):
         raise ValueError(f"bad fields for {ev!r}: {sorted(keys)}")
-    if "abort" in keys and d["abort"] is not True:
+    if aborted and d["abort"] is not True:
         raise ValueError("abort field, when present, must be true")
-    addr = _want_int(d, "addr") if "addr" in allowed else None
-    val = _want_int(d, "val") if "val" in allowed and "abort" not in keys else None
-    return Event(ev, tx, addr=addr, val=val, abort=bool(d.get("abort", False)))
+    return Event(ev, tx, abort=aborted,
+                 **{f: _want_int(d, f) for f in fields})
 
 
 # durable well-formedness one event at a time ---------------------------------
@@ -439,23 +452,21 @@ def wf_step(status: tuple, e: Event) -> tuple | None:
 # direct enumeration of durably well-formed histories ------------------------
 
 
-def _txn_moves(t: int, s: str, addrs, vals) -> list[tuple[Event, str]]:
+@lru_cache(maxsize=_MOVES_MEMO_SIZE)
+def _txn_moves(t: int, s: str, addrs, vals,
+               ) -> tuple[tuple[Event, str], ...]:
     """(event, next status) for every event transaction t may take next in
-    status s, with its addresses and values drawn from addrs and vals."""
+    status s, with its addresses and values drawn from addrs and vals (which
+    must be hashable, such as ranges or tuples)."""
+    pools = {"addr": addrs, "val": vals}
     out = []
     for tag, (ok, ab) in _GRAMMAR[s].items():
-        if tag == "invRead":
-            out += [(Event(tag, t, addr=a), ok) for a in addrs]
-        elif tag == "invWrite":
-            out += [(Event(tag, t, addr=a, val=v), ok)
-                    for a in addrs for v in vals]
-        elif tag == "resRead":
-            out += [(Event(tag, t, val=v), ok) for v in vals]
-        else:
-            out.append((Event(tag, t), ok))
+        fields = _FIELDS[tag][0]
+        out += [(Event(tag, t, **dict(zip(fields, payload))), ok)
+                for payload in product(*(pools[f] for f in fields))]
         if ab is not None:
             out.append((Event(tag, t, abort=True), ab))
-    return out
+    return tuple(out)
 
 
 def enumerate_histories(

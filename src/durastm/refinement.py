@@ -193,20 +193,21 @@ class SimWitness:
 
 
 def sim_filter(images: frozenset, cs2: DtmlState,
-               ) -> tuple[frozenset, list[str], list[str]]:
+               ) -> tuple[frozenset, tuple[str, ...], tuple[str, ...]]:
     """Prune candidate automaton states by the global relation at ``cs2``.
 
     Returns the candidates that satisfy it (``images`` itself when it
     prunes none, so that the frame keeps its cached hash), the clauses
     that emptied the set (hard failure) and, when the set is non-empty but
     no member satisfies the per-transaction layer, those soft clauses.
+    The result is immutable, so that a memo may hand it out again.
     """
     rel = global_rel_for(cs2)
     kept = [a2 for a2 in images if rel(a2) is None]
     if not kept:
-        hard = sorted({rel(a2) for a2 in images} - {None}) \
-            if images else ["no matching automaton action"]
-        return frozenset(), hard, []
+        hard = tuple(sorted({rel(a2) for a2 in images} - {None})) \
+            if images else ("no matching automaton action",)
+        return frozenset(), hard, ()
     filtered = images if len(kept) == len(images) else frozenset(kept)
     # each image's soft clause is computed once; one image that satisfies
     # the per-transaction layer clears the step
@@ -214,26 +215,27 @@ def sim_filter(images: frozenset, cs2: DtmlState,
     for a2 in kept:
         clause = _txn_rel_all(cs2, a2)
         if clause is None:
-            return filtered, [], []
+            return filtered, (), ()
         soft.add(clause)
-    return filtered, [], sorted(soft)
+    return filtered, (), tuple(sorted(soft))
 
 
 def sim_step(acceptor: Acceptor, aset: frozenset, ca: DtmlAction,
-             cs2: DtmlState, ev: Event | None,
-             ) -> tuple[frozenset, list[str], list[str]]:
+             cs2: DtmlState, ev: Event | None, prune=sim_filter,
+             ) -> tuple[frozenset, tuple[str, ...], tuple[str, ...]]:
     """Advance the candidate set over one concrete step.
 
     Visible events must be matched by an automaton action; a silent step
     lets each candidate stand still or take one internal action of the
-    same transaction.  The images are then pruned by ``sim_filter``, whose
-    result this returns.
+    same transaction.  The images are then pruned by ``prune``, by
+    default ``sim_filter`` (a caller may pass a memo of it), whose result
+    this returns.
     """
     if ev is None:
         images = acceptor.silent(aset, ca.tx)
     else:
         images = acceptor.match(aset, ev)
-    return sim_filter(images, cs2)
+    return prune(images, cs2)
 
 
 @dataclass
@@ -273,7 +275,7 @@ def check_forward_sim(domain: Domain, schedule,
                     "index": k,
                     "action": str(ca),
                     "event": None if ev is None else event_to_json(ev),
-                    "clauses": hard,
+                    "clauses": list(hard),
                     "state": cm.snapshot(cs2),
                 },
                 soft_flags=soft_flags, soft_flag_count=soft_count)
@@ -284,7 +286,7 @@ def check_forward_sim(domain: Domain, schedule,
                     "tag": "table_suspect",
                     "index": k,
                     "action": str(ca),
-                    "clauses": soft,
+                    "clauses": list(soft),
                     "state": cm.snapshot(cs2),
                 })
         cs, aset = cs2, aset2

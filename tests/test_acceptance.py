@@ -90,7 +90,8 @@ def test_A2_every_explored_history_is_accepted_by_reference_automaton(
     ok = not bad and not recheck
     _verdict(capsys, "A2", ok,
              f"{report.histories_explored} histories accepted "
-             f"(incremental subset construction), {len(bad)} rejections, "
+             f"(each prefix proved a trace by its non-empty forward-"
+             f"simulation frame), {len(bad)} rejections, "
              f"{len(samples)} sampled histories re-verified standalone")
     assert not bad
     assert not recheck

@@ -210,7 +210,7 @@ def test_flush_edges_carry_what_the_full_checks_give(monkeypatch) -> None:
     assert sum(1 for *_, out in flushes if out.soft) > 100
     for acceptor, a, s2, path, out in flushes:
         sim, hard, soft = refinement.sim_step(acceptor, path.sim, a, s2, None)
-        assert (hard, sim, tuple(soft)) == ([], out.sim, out.soft)
+        assert (hard, sim, soft) == ((), out.sim, out.soft)
         assert explorer._invariant_violation(s2, out.dirty) is None
         assert (out.trace, out.wf) == (path.trace, path.wf)
 
@@ -319,3 +319,23 @@ def test_walk_reference_one_acceptor_accepts_every_walk() -> None:
     assert rep.violations == [] and rep.histories_explored == 200
     assert len(walks) == 200 and any(H.CRASH in h for h in walks)
     assert all(dtms2_accepts(h, cfg.domain).ok for h in walks)
+
+
+def test_report_carries_the_run_config() -> None:
+    cfg = ExplorationConfig(domain=H.Domain(1, 1, 2), max_steps=6,
+                            max_crashes=1, flush_budget=0,
+                            checks=("opacity", "simrel"),
+                            mutation="skip_undo_log", num_walks=3)
+    config = {"domain": {"num_txns": 1, "num_addrs": 1, "num_vals": 2},
+              "dedup": "context", "max_steps": 6, "max_crashes": 1,
+              "flush_budget": 0, "checks": ["opacity", "simrel"],
+              "mutation": "skip_undo_log"}
+    # auto resolves to context under a mutation; walks cut no path
+    assert explore_exhaustive(cfg).as_dict()["config"] == config
+    assert explore_exhaustive(replace(cfg, dedup="state")).as_dict()[
+        "config"] == {**config, "dedup": "state"}
+    assert explore_random(cfg).as_dict()["config"] == {**config,
+                                                       "dedup": None}
+    ref = replace(cfg, checks=("opacity",), mutation=None)
+    assert walk_reference(ref).as_dict()["config"] == {
+        **config, "dedup": None, "checks": ["opacity"], "mutation": None}

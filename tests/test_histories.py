@@ -200,6 +200,57 @@ def test_event_json_rejects_missing_or_extra_fields() -> None:
         H.event_from_json({"ev": "resRead", "tx": 1, "val": 0, "abort": True})
 
 
+# the keys besides "ev" that each tag's events carry, written out per tag
+_JSON_SHAPES = {
+    "invBegin": [{"tx"}], "resBegin": [{"tx"}], "invCommit": [{"tx"}],
+    "invRead": [{"tx", "addr"}], "invWrite": [{"tx", "addr", "val"}],
+    "resRead": [{"tx", "val"}, {"tx", "abort"}],
+    "resWrite": [{"tx"}, {"tx", "abort"}],
+    "resCommit": [{"tx"}, {"tx", "abort"}],
+    "crash": [set()],
+}
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+# every event form over two transactions, addresses and values
+_EVENT_FORMS = sorted(
+    {json.dumps(H.event_to_json(e), sort_keys=True) for t in (1, 2)
+     for s in ("NS", "PB", "RD", "PR", "PW", "PC")
+     for e, _ in H._txn_moves(t, s, range(2), range(2))}
+    | {json.dumps(H.event_to_json(H.CRASH))})
+
+
+@st.composite
+def _near_events(draw) -> dict:
+    """An event form with up to two keys dropped or set to other values:
+    tags, small numbers, booleans and the like."""
+    d = json.loads(draw(st.sampled_from(_EVENT_FORMS)))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["ev", "tx", "addr", "val", "abort", "x"]))
+        if draw(st.booleans()):
+            d.pop(key, None)
+        else:
+            d[key] = draw(st.sampled_from([*H.EV_TAGS, "bogus"])
+                          | st.integers(-1, 2) | st.booleans() | st.none()
+                          | st.just(1.0) | st.just([0]))
+    return d
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(st.one_of(_json_values, _near_events()))
+def test_event_from_json_returns_an_event_or_raises_value_error(d) -> None:
+    try:
+        e = H.event_from_json(d)
+    except ValueError:
+        return
+    assert isinstance(e, H.Event)
+    # accepted only in the canonical form, with a field set of its tag
+    assert H.event_to_json(e) == d
+    assert set(d) - {"ev"} in _JSON_SHAPES[e.ev]
+
+
 # direct enumeration --------------------------------------------------------
 
 def test_enumerate_histories_small_count_matches_dp() -> None:
