@@ -78,7 +78,7 @@ OPACITY_MEMO_SIZE = 64
 
 # simulation-frame prunings each exploration run remembers, keyed on the
 # image frame and the concrete state: edges repeat both, and on the 28-step
-# 2x2x2 sweep 1,024 entries hold 43,208 of the 81,341 calls (26,425 keys)
+# 2x2x2 sweep 1,024 entries hold 36,107 of the 81,341 calls (32,551 keys)
 SIM_MEMO_SIZE = 1024
 
 # when a walk must still crash, do so while enough steps remain for
@@ -189,12 +189,6 @@ class CheckReport:
     states_visited: int = 0
     violations: list[Violation] = field(default_factory=list)
     elapsed: float = 0.0
-    # simulation-relation failures attributable only to the reconstructed
-    # per-transaction clause table are reported separately, not as
-    # violations (see check_forward_sim): the number of soft-flagged steps,
-    # and the first ten distinct "action: clause" texts
-    txn_rel_flag_count: int = 0
-    txn_rel_flags: tuple[str, ...] = ()
     # the run's settings (see _config_block), so that a report says what
     # it covers
     config: dict = field(default_factory=dict)
@@ -209,8 +203,6 @@ class CheckReport:
             "histories_explored": self.histories_explored,
             "states_visited": self.states_visited,
             "elapsed": self.elapsed,
-            "txn_rel_flag_count": self.txn_rel_flag_count,
-            "txn_rel_flags": list(self.txn_rel_flags),
             "config": self.config,
             "violations": [
                 {"check": v.check,
@@ -306,18 +298,13 @@ class _Path(NamedTuple):
     closure of ``trace`` after every edge and inside ``trace`` after every
     event edge, so when both checks run ``trace`` is None unless the dedup
     key reads it: a non-empty ``sim`` already proves the trace accepted.
-    ``soft`` holds the per-transaction clauses
-    that no member of ``sim`` satisfies at the path's last state (empty
-    when the check is off); being a function of that state and ``sim``,
-    it splits no dedup class.  ``dirty`` holds the addresses written back
-    but not yet flushed, and ``wf`` the well-formedness status vector of
-    the path's events.
+    ``dirty`` holds the addresses written back but not yet flushed, and
+    ``wf`` the well-formedness status vector of the path's events.
     """
 
     budgets: tuple[int, int, tuple[int, ...]]
     trace: frozenset | None
     sim: frozenset | None
-    soft: tuple[str, ...]
     dirty: frozenset
     wf: tuple
 
@@ -338,7 +325,7 @@ def _spend(budgets: tuple, s: DtmlState, a: DtmlAction) -> tuple:
 
 class _Pipeline:
     """Per-edge checking shared by exhaustive and random exploration; it
-    collects the run's violations and soft flags in ``report``.
+    collects the run's violations in ``report``.
 
     ``dedup`` is the policy by which the run cuts paths, None when it
     cuts none.  When both automaton checks run, the simulation frame
@@ -378,16 +365,16 @@ class _Pipeline:
         acc, checks = self.acceptor, self.checks
         trace = (acc.initial() if "refinement" in checks and not self.replay
                  else None)
-        sim, soft = None, ()
+        sim = None
         if "simrel" in checks:
-            sim, hard, soft = self.sim_filter(acc.initial(), s0)
+            sim, hard = self.sim_filter(acc.initial(), s0)
             if hard:
                 raise AssertionError(
                     "state relation must hold at the initial pair")
         if ("invariants" in checks
                 and _invariant_violation(s0, frozenset()) is not None):
             raise AssertionError("invariants must hold at the initial state")
-        return _Path((0, 0, (0,) * n), trace, sim, soft, frozenset(),
+        return _Path((0, 0, (0,) * n), trace, sim, frozenset(),
                      H.wf_start(n))
 
     def allowed(self, s: DtmlState, path: _Path) -> list[DtmlAction]:
@@ -416,12 +403,10 @@ class _Pipeline:
         A background flush copies one address from the volatile to the
         persistent store, and only ``invariant.flushDiff`` reads the
         persistent store, which the flush can only make hold: so the flush
-        edge keeps its source's frames, well-formedness status, invariant
-        verdict and soft clauses, and only the flush budget and ``dirty``
-        change.
+        edge keeps its source's frames, well-formedness status and
+        invariant verdict, and only the flush budget and ``dirty`` change.
         """
         if a.kind == "flush":
-            self._flag(a, path.soft)
             return path._replace(
                 budgets=_spend(path.budgets, s, a),
                 dirty=_update_dirty(path.dirty, s, a, self.cfg.mutation))
@@ -433,7 +418,7 @@ class _Pipeline:
                 report.violations.append(Violation(
                     inv, tuple(events), {"after_action": str(a)}))
                 return None
-        trace, sim, soft, wf = path.trace, path.sim, path.soft, path.wf
+        trace, sim, wf = path.trace, path.sim, path.wf
         if ev is not None:
             at = len(events) - 1
             wf = H.wf_step(wf, ev)
@@ -459,8 +444,8 @@ class _Pipeline:
                 report.violations.extend(viols)
                 return None
         if sim is not None:
-            sim, hard, soft = sim_step(self.acceptor, sim, a, s2, ev,
-                                       prune=self.sim_filter)
+            sim, hard = sim_step(self.acceptor, sim, a, s2, ev,
+                                 prune=self.sim_filter)
             if hard:
                 if (ev is not None and self.replay
                         and not self.acceptor.accepts(tuple(events))):
@@ -470,8 +455,7 @@ class _Pipeline:
                         "simrel", tuple(events),
                         {"action": str(a), "clauses": list(hard)}))
                 return None
-            self._flag(a, soft)
-        return _Path(_spend(path.budgets, s, a), trace, sim, soft, dirty, wf)
+        return _Path(_spend(path.budgets, s, a), trace, sim, dirty, wf)
 
     @staticmethod
     def _rejected(events: list[H.Event]) -> Violation:
@@ -480,19 +464,6 @@ class _Pipeline:
         return Violation("refinement", tuple(events),
                          {"at_event": len(events) - 1,
                           "event": str(events[-1])})
-
-    def _flag(self, a: DtmlAction, soft: tuple[str, ...]) -> None:
-        """Report a step after which no candidate satisfies the
-        per-transaction layer."""
-        if not soft:
-            return
-        report = self.report
-        report.txn_rel_flag_count += 1
-        for c in soft:
-            text = f"{a}: {c}"
-            if (len(report.txn_rel_flags) < 10
-                    and text not in report.txn_rel_flags):
-                report.txn_rel_flags += (text,)
 
 
 def _stop_satisfied(stop_on, report: CheckReport) -> bool:

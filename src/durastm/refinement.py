@@ -5,7 +5,7 @@ Forward simulation is checked along concrete executions: the checker steps
 the implementation machine and carries the set of reference-automaton
 states that could have produced the same events so far (a determinized
 candidate set, as in trace acceptance).  Candidates are pruned per step by
-the global state relation, whose clauses are:
+one state relation R.  Its global clauses are:
 
 1. outside recovery, volatile memory equals the latest committed snapshot
    with the active writer's write set applied;
@@ -15,15 +15,12 @@ the global state relation, whose clauses are:
    committed snapshot;
 4. a transaction not started concretely has not started abstractly.
 
-``global_rel_for`` evaluates the concrete side of these clauses once per
-step; the candidates are then compared against it.
-
-An empty candidate set after a step is a hard failure.  A further
-per-transaction correspondence (program-counter table, pending-operation
-payloads, read-set validity at the current snapshot, writer/write-set
-parity, recovery snapshot collapse) is a reconstruction and is checked as
-a soft layer: steps where no candidate satisfies it are flagged for review
-but do not fail the run.
+Its per-transaction clauses relate each transaction's program counter,
+pending-operation payloads, read-set validity at the current snapshot and
+writer/write-set parity, and collapse the snapshots during recovery.
+``global_rel_for`` evaluates the concrete side of the global clauses once
+per step, and ``sim_filter`` keeps the candidates that satisfy both kinds.
+An empty candidate set after a step is a failure.
 
 A writer that has passed the log-clear line is treated as already
 committed: its writes no longer count as in-flight (``_live_writer``)
@@ -33,23 +30,15 @@ step.
 
 ``check_weak_sim`` replays a durable-automaton schedule against the
 crash-free automaton, erasing crash steps and shifting snapshot indices by
-the number of snapshots forgotten at each crash.  ``check_trace_refinement``
-is plain trace membership of a history in the durable automaton.
+the number of snapshots forgotten at each crash.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dtml import NOT_LIVE_PCS, DtmlAction, DtmlMachine, DtmlState
-from .dtms2 import (
-    Acceptor,
-    AcceptResult,
-    Dtms2Machine,
-    Dtms2State,
-    compact_history,
-    dtms2_accepts,
-)
+from .dtms2 import Acceptor, Dtms2Machine, Dtms2State
 from .histories import Domain, Event, History, event_to_json, ops
 
 # abstract status corresponding to each concrete program counter under the
@@ -136,9 +125,8 @@ def global_rel_for(cs: DtmlState) -> Callable[[Dtms2State], str | None]:
 
 
 def txn_rel_clause(cs: DtmlState, as_: Dtms2State, t: int) -> str | None:
-    """First violated clause of the per-transaction correspondence for
-    transaction t, or None.  This layer is a reconstruction and is
-    reported softly by the simulation checker."""
+    """First violated per-transaction clause of R for transaction t, or
+    None."""
     i = t - 1
     pc = cs.pc[i]
     if as_.pc[i] != _PC_TABLE[pc]:
@@ -175,14 +163,6 @@ def txn_rel_clause(cs: DtmlState, as_: Dtms2State, t: int) -> str | None:
     return None
 
 
-def _txn_rel_all(cs: DtmlState, as_: Dtms2State) -> str | None:
-    for t in range(1, len(cs.pc) + 1):
-        clause = txn_rel_clause(cs, as_, t)
-        if clause is not None:
-            return clause
-    return None
-
-
 @dataclass(frozen=True)
 class SimWitness:
     """A concrete state with the automaton states that can have matched
@@ -193,36 +173,36 @@ class SimWitness:
 
 
 def sim_filter(images: frozenset, cs2: DtmlState,
-               ) -> tuple[frozenset, tuple[str, ...], tuple[str, ...]]:
-    """Prune candidate automaton states by the global relation at ``cs2``.
+               ) -> tuple[frozenset, tuple[str, ...]]:
+    """Prune candidate automaton states by R at ``cs2``.
 
     Returns the candidates that satisfy it (``images`` itself when it
-    prunes none, so that the frame keeps its cached hash), the clauses
-    that emptied the set (hard failure) and, when the set is non-empty but
-    no member satisfies the per-transaction layer, those soft clauses.
-    The result is immutable, so that a memo may hand it out again.
+    prunes none, so that the frame keeps its cached hash) and, when none
+    does, each image's first violated clause, global clauses first.  The
+    result is immutable, so that a memo may hand it out again.
     """
-    rel = global_rel_for(cs2)
-    kept = [a2 for a2 in images if rel(a2) is None]
-    if not kept:
-        hard = tuple(sorted({rel(a2) for a2 in images} - {None})) \
-            if images else ("no matching automaton action",)
-        return frozenset(), hard, ()
-    filtered = images if len(kept) == len(images) else frozenset(kept)
-    # each image's soft clause is computed once; one image that satisfies
-    # the per-transaction layer clears the step
-    soft = set()
-    for a2 in kept:
-        clause = _txn_rel_all(cs2, a2)
+    global_rel = global_rel_for(cs2)
+    txns = range(1, len(cs2.pc) + 1)
+    kept, broken = [], set()
+    for a2 in images:
+        clause = global_rel(a2)
+        for t in txns:
+            if clause is not None:
+                break
+            clause = txn_rel_clause(cs2, a2, t)
         if clause is None:
-            return filtered, (), ()
-        soft.add(clause)
-    return filtered, (), tuple(sorted(soft))
+            kept.append(a2)
+        else:
+            broken.add(clause)
+    if not kept:
+        return frozenset(), (tuple(sorted(broken)) if images
+                             else ("no matching automaton action",))
+    return (images if len(kept) == len(images) else frozenset(kept)), ()
 
 
 def sim_step(acceptor: Acceptor, aset: frozenset, ca: DtmlAction,
              cs2: DtmlState, ev: Event | None, prune=sim_filter,
-             ) -> tuple[frozenset, tuple[str, ...], tuple[str, ...]]:
+             ) -> tuple[frozenset, tuple[str, ...]]:
     """Advance the candidate set over one concrete step.
 
     Visible events must be matched by an automaton action; a silent step
@@ -243,23 +223,19 @@ class ForwardSimReport:
     ok: bool
     steps_checked: int
     hard_failure: dict | None = None
-    soft_flags: list[dict] = field(default_factory=list)
-    soft_flag_count: int = 0
     final_witness: SimWitness | None = None
 
 
 def check_forward_sim(domain: Domain, schedule,
                       mutation: str | None = None) -> ForwardSimReport:
     """Step the implementation along a schedule, asserting after every
-    step that some automaton candidate matches under the state relation."""
+    step that some automaton candidate matches under R."""
     cm = DtmlMachine(domain, mutation=mutation)
     acceptor = Acceptor(Dtms2Machine(domain))
     cs = cm.initial()
-    aset, hard, _ = sim_filter(acceptor.initial(), cs)
+    aset, hard = sim_filter(acceptor.initial(), cs)
     if hard:
         raise AssertionError("state relation must hold at the initial pair")
-    soft_flags: list[dict] = []
-    soft_count = 0
     steps = 0
     for k, ca in enumerate(schedule):
         steps = k + 1
@@ -267,7 +243,7 @@ def check_forward_sim(domain: Domain, schedule,
             cs2, ev = cm.step(cs, ca)
         except ValueError as exc:
             raise ValueError(f"schedule position {k}: {exc}") from exc
-        aset2, hard, soft = sim_step(acceptor, aset, ca, cs2, ev)
+        aset, hard = sim_step(acceptor, aset, ca, cs2, ev)
         if hard:
             return ForwardSimReport(
                 ok=False, steps_checked=k + 1,
@@ -277,21 +253,9 @@ def check_forward_sim(domain: Domain, schedule,
                     "event": None if ev is None else event_to_json(ev),
                     "clauses": list(hard),
                     "state": cm.snapshot(cs2),
-                },
-                soft_flags=soft_flags, soft_flag_count=soft_count)
-        if soft:
-            soft_count += 1
-            if len(soft_flags) < 10:
-                soft_flags.append({
-                    "tag": "table_suspect",
-                    "index": k,
-                    "action": str(ca),
-                    "clauses": list(soft),
-                    "state": cm.snapshot(cs2),
                 })
-        cs, aset = cs2, aset2
+        cs = cs2
     return ForwardSimReport(ok=True, steps_checked=steps,
-                            soft_flags=soft_flags, soft_flag_count=soft_count,
                             final_witness=SimWitness(cs, aset))
 
 
@@ -353,13 +317,3 @@ def check_weak_sim(dm: Dtms2Machine, tm: Dtms2Machine,
     return WeakSimReport(ok=True, durable_history=tuple(d_events),
                          target_history=tuple(t_events))
 
-
-# -- trace membership -----------------------------------------------------------
-
-def check_trace_refinement(h: History, domain: Domain | None = None,
-                           durable: bool = True) -> AcceptResult:
-    """Is the history a trace of the reference automaton?  Without a
-    domain, its ids are first made dense (see ``compact_history``)."""
-    if domain is None:
-        h, domain = compact_history(h)
-    return dtms2_accepts(h, domain, durable=durable)

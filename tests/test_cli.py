@@ -369,6 +369,7 @@ def test_report_file_is_json(tmp_path) -> None:
     data = json.loads(rp.read_text())
     assert data["ok"] is True
     assert data["histories_explored"] > 0
+    assert not [k for k in data if k.startswith("txn_rel_flag")]
 
 
 def test_trace_round_trip(tmp_path) -> None:

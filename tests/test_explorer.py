@@ -79,7 +79,6 @@ def test_small_clean_exploration_has_no_violations() -> None:
     assert rep.violations == []
     assert rep.histories_explored == len(histories) > 10
     assert rep.states_visited > 10
-    assert rep.txn_rel_flag_count == 0
     # spot-check the pipeline against the standalone oracles
     for h in histories[::max(1, len(histories) // 40)]:
         assert durably_opaque(h, value_domain=range(2)).ok
@@ -154,45 +153,15 @@ def test_acceptor_memo_size_changes_no_verdict_and_bounds_its_caches(
     assert (hist, states, len(viols)) == (8065, 1443, 110)
 
 
-# the per-transaction table broken so that the soft simrel layer fires (a
-# completed write taken as still pending), on a run whose flush edges carry
-# flagged steps; the pinned counts and texts are those of the pipeline
-# that still ran sim_step on every flush edge
-SOFT_FLUSH_RUN = ExplorationConfig(
+# a run whose paths take many flush edges
+FLUSH_RUN = ExplorationConfig(
     domain=H.Domain(2, 1, 2), max_crashes=1, flush_budget=1, max_steps=20,
-    checks=("simrel", "invariants"))
-_SOFT_FLUSH_COUNTS = {
-    "state": (6486, 1518, 430, (
-        "W6(t2): txnRel.pc(t=2)", "W6(t2): txnRel.writeSetParity(t=2)",
-        "W6(t1): txnRel.pc(t=1)", "W6(t1): txnRel.writeSetParity(t=1)",
-        "B1(t2): txnRel.pc(t=1)", "B1(t2): txnRel.writeSetParity(t=1)",
-        "B2(t2): txnRel.pc(t=1)", "B2(t2): txnRel.writeSetParity(t=1)",
-        "flush(a0): txnRel.pc(t=1)",
-        "flush(a0): txnRel.writeSetParity(t=1)")),
-    "context": (19020, 1518, 1318, (
-        "W6(t1): txnRel.pc(t=1)", "W6(t1): txnRel.writeSetParity(t=1)",
-        "W6(t2): txnRel.pc(t=2)", "W6(t2): txnRel.writeSetParity(t=2)",
-        "invBegin(t2): txnRel.pc(t=1)",
-        "invBegin(t2): txnRel.writeSetParity(t=1)",
-        "B1(t2): txnRel.pc(t=1)", "B1(t2): txnRel.writeSetParity(t=1)",
-        "B2(t2): txnRel.pc(t=1)", "B2(t2): txnRel.writeSetParity(t=1)")),
-}
-
-
-@pytest.mark.parametrize("dedup", list(_SOFT_FLUSH_COUNTS))
-def test_soft_flags_carry_across_flush_edges(monkeypatch, dedup) -> None:
-    monkeypatch.setitem(refinement._PC_TABLE, "W7", "writePending")
-    rep = explore_exhaustive(replace(SOFT_FLUSH_RUN, dedup=dedup))
-    assert rep.violations == []
-    assert (rep.histories_explored, rep.states_visited,
-            rep.txn_rel_flag_count,
-            rep.txn_rel_flags) == _SOFT_FLUSH_COUNTS[dedup]
+    checks=("refinement", "simrel", "invariants"), dedup="context")
 
 
 def test_flush_edges_carry_what_the_full_checks_give(monkeypatch) -> None:
     # every flush edge skips sim_step and the invariants; replayed through
-    # both, it must give the frame and soft clauses it carried, and pass
-    monkeypatch.setitem(refinement._PC_TABLE, "W7", "writePending")
+    # both, it must give the frame it carried, and pass
     flushes = []
     check_edge = explorer._Pipeline.check_edge
 
@@ -203,14 +172,11 @@ def test_flush_edges_carry_what_the_full_checks_give(monkeypatch) -> None:
         return out
 
     monkeypatch.setattr(explorer._Pipeline, "check_edge", recording)
-    cfg = replace(SOFT_FLUSH_RUN, dedup="context",
-                  checks=("refinement", "simrel", "invariants"))
-    assert explore_exhaustive(cfg).violations == []
+    assert explore_exhaustive(FLUSH_RUN).violations == []
     assert len(flushes) > 1000
-    assert sum(1 for *_, out in flushes if out.soft) > 100
     for acceptor, a, s2, path, out in flushes:
-        sim, hard, soft = refinement.sim_step(acceptor, path.sim, a, s2, None)
-        assert (hard, sim, soft) == ((), out.sim, out.soft)
+        sim, hard = refinement.sim_step(acceptor, path.sim, a, s2, None)
+        assert (hard, sim) == ((), out.sim)
         assert explorer._invariant_violation(s2, out.dirty) is None
         assert (out.trace, out.wf) == (path.trace, path.wf)
 

@@ -2,9 +2,11 @@
 
 Three layers tie the implementation machine to the reference automaton:
 
-1. forward simulation along concrete executions, carrying every abstract
-   automaton state that matches the run so far, pruned by a state
-   relation; an emptied candidate set is a hard counterexample;
+1. forward simulation, per (implementation state, automaton state) pair
+   over the whole reachable product, and along concrete executions,
+   carrying every abstract automaton state that matches the run so far,
+   pruned by the state relation; an emptied candidate set is a
+   counterexample;
 2. weak simulation: every durable-automaton run, with crash steps erased,
    is mirrored as a run of the crash-free automaton;
 3. trace membership: emitted histories are accepted by the automaton.
@@ -12,18 +14,25 @@ Three layers tie the implementation machine to the reference automaton:
 from __future__ import annotations
 
 import random
+from collections import Counter, deque
 
 import pytest
 
 from durastm import histories as H
 from durastm import refinement
 from durastm.dtml import DtmlMachine, act
-from durastm.dtms2 import Dtms2Machine, dtms2_random_walk, mact
+from durastm.dtms2 import (
+    Acceptor,
+    Dtms2Machine,
+    compact_history,
+    dtms2_accepts,
+    dtms2_random_walk,
+    mact,
+)
 from durastm.explorer import ExplorationConfig, explore_exhaustive
 from durastm.nvm import MemoryPair, UndoLog
 from durastm.refinement import (
     check_forward_sim,
-    check_trace_refinement,
     check_weak_sim,
     global_rel_for,
     logical_glb,
@@ -185,7 +194,7 @@ def test_forward_sim_empty_execution() -> None:
 
 def test_forward_sim_full_writer_rebases_snapshots() -> None:
     rep = check_forward_sim(CFG, FULL_WRITER)
-    assert rep.ok and rep.soft_flag_count == 0
+    assert rep.ok
     assert rep.steps_checked == len(FULL_WRITER)
     assert all(len(a.mems) == 2
                for a in rep.final_witness.abstract_candidates)
@@ -200,7 +209,7 @@ def test_forward_sim_through_crash_and_recovery() -> None:
         act("invRead", 2, addr=0), act("R1", 2), act("R2", 2), act("resRead", 2),
     ]
     rep = check_forward_sim(CFG, schedule)
-    assert rep.ok and rep.soft_flag_count == 0
+    assert rep.ok
 
 
 def test_forward_sim_mid_write_crash_recovery() -> None:
@@ -210,7 +219,7 @@ def test_forward_sim_mid_write_crash_recovery() -> None:
         [act("crash"), act("C1"), act("C2", addr=0, val=0), act("C3"),
          act("C4"), act("C5"), act("C1"), act("C6")]
     rep = check_forward_sim(CFG, schedule)
-    assert rep.ok and rep.soft_flag_count == 0
+    assert rep.ok
 
 
 def test_forward_sim_random_walks_hold() -> None:
@@ -226,7 +235,6 @@ def test_forward_sim_random_walks_hold() -> None:
             schedule.append(a)
         rep = check_forward_sim(CFG, schedule)
         assert rep.ok, rep.hard_failure
-        assert rep.soft_flag_count == 0, rep.soft_flags
 
 
 def test_forward_sim_rejects_disabled_schedule() -> None:
@@ -272,36 +280,90 @@ def test_forward_sim_catches_retained_log() -> None:
 
 
 
-# the soft layer: a fault in the per-transaction table alone ------------------
+# the per-transaction clauses are part of the relation ----------------------
 
-SOFT_RUN = ExplorationConfig(domain=CFG, max_crashes=0, flush_budget=0,
-                             max_steps=12, checks=("simrel",),
-                             dedup="state")
+PC_TABLE_RUN = ExplorationConfig(domain=CFG, max_crashes=0, flush_budget=0,
+                                 max_steps=12, checks=("simrel",),
+                                 dedup="state")
 
 
-def test_broken_pc_table_raises_soft_flags_only(monkeypatch) -> None:
-    healthy = explore_exhaustive(SOFT_RUN)
+def test_broken_pc_table_fails_the_simulation(monkeypatch) -> None:
+    healthy = explore_exhaustive(PC_TABLE_RUN)
     assert (healthy.histories_explored, healthy.states_visited) == (847, 705)
-    assert healthy.ok and healthy.txn_rel_flag_count == 0
-    # a completed write (W7) taken as still pending: the global relation
-    # holds, so nothing is a violation, but the table's clause fails
+    assert healthy.ok
+    # a completed write (W7) taken as still pending: the global clauses
+    # hold, but no candidate satisfies the per-transaction ones
     monkeypatch.setitem(refinement._PC_TABLE, "W7", "writePending")
-    broken = explore_exhaustive(SOFT_RUN)
-    assert (broken.histories_explored, broken.states_visited) == (847, 705)
-    assert broken.ok and broken.violations == []
-    # soft-flagged steps, the unit of check_forward_sim's soft_flag_count,
-    # and the distinct "action: clause" texts of the whole run
-    assert broken.txn_rel_flag_count == 24
-    assert broken.txn_rel_flags == tuple(
-        f"{a}: txnRel.{clause}(t={t})"
-        for a, t in (("W6(t1)", 1), ("invBegin(t2)", 1),
-                     ("W6(t2)", 2), ("invBegin(t1)", 2))
-        for clause in ("pc", "writeSetParity"))
+    broken = explore_exhaustive(PC_TABLE_RUN)
+    assert (broken.histories_explored, broken.states_visited) == (839, 681)
+    assert len(broken.violations) == 16
+    assert {v.check for v in broken.violations} == {"simrel"}
+    assert {v.detail["action"] for v in broken.violations} \
+        == {"W6(t1)", "W6(t2)"}
+    # each image's first broken clause: the image that took the write
+    # fails the table, the one that did not fails the global clause 1
     rep = check_forward_sim(CFG, FULL_WRITER)
-    assert rep.ok and rep.soft_flag_count == 1
-    (flag,) = rep.soft_flags
-    assert (flag["tag"], flag["action"], flag["clauses"]) == (
-        "table_suspect", "W6(t1)", ["txnRel.pc(t=1)"])
+    assert not rep.ok
+    assert (rep.hard_failure["action"], rep.hard_failure["clauses"]) == (
+        "W6(t1)", ["globalRel.1", "txnRel.pc(t=1)"])
+
+
+def _per_pair_simulation(domain: H.Domain, mutation: str | None = None):
+    """Breadth-first search of the (implementation state, automaton state)
+    pairs related by R, stepping each pair by every enabled action with no
+    budgets.  A step's successors are the images of the one automaton
+    state that ``sim_step`` keeps; a step with none is a dead edge.
+    Returns the numbers of related pairs, implementation states and edges,
+    and the dead edges by action kind."""
+    m = DtmlMachine(domain, mutation=mutation)
+    acceptor = Acceptor(Dtms2Machine(domain))
+    c0 = m.initial()
+    frame, hard = refinement.sim_filter(acceptor.initial(), c0)
+    assert frame and not hard
+    seen = {(c0, a) for a in frame}
+    queue = deque(seen)
+    edges, dead = 0, Counter()
+    while queue:
+        c, a = queue.popleft()
+        for ca in m.enabled(c):
+            c2, ev = m.step(c, ca)
+            edges += 1
+            images, _ = refinement.sim_step(acceptor, frozenset({a}), ca,
+                                            c2, ev)
+            if not images:
+                dead[ca.kind] += 1
+            for a2 in images:
+                if (c2, a2) not in seen:
+                    seen.add((c2, a2))
+                    queue.append((c2, a2))
+    return len(seen), len({c for c, _ in seen}), edges, dead
+
+
+def test_relation_is_a_forward_simulation_per_pair() -> None:
+    # every related pair has a related successor for every action, with
+    # any number of crashes, flushes and begin retries
+    assert _per_pair_simulation(H.Domain(2, 1, 2)) \
+        == (8825, 2688, 35712, Counter())
+
+
+# each fault and the (number, action kind) of its dead edges
+_DEAD_EDGES = {
+    "skip_undo_log": (264, "W6"),
+    "skip_flush_W7": (1680, "crash"),
+    "skip_log_clear_E2": (140, "E2"),
+    "pc_table_W7": (216, "W6"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_DEAD_EDGES))
+def test_per_pair_simulation_names_each_fault(monkeypatch, fault) -> None:
+    mutation = fault
+    if fault == "pc_table_W7":
+        monkeypatch.setitem(refinement._PC_TABLE, "W7", "writePending")
+        mutation = None
+    *_, dead = _per_pair_simulation(H.Domain(2, 1, 2), mutation)
+    count, kind = _DEAD_EDGES[fault]
+    assert dead == Counter({kind: count})
 
 
 # weak simulation ---------------------------------------------------------------
@@ -358,7 +420,7 @@ def test_weak_sim_refuses_machines_of_the_wrong_kind() -> None:
 def test_trace_refinement_accepts_machine_history() -> None:
     h = (H.inv_begin(1), H.res_begin(1), H.inv_write(1, 0, 1), H.res_write(1),
          H.inv_commit(1), H.res_commit(1))
-    assert check_trace_refinement(h).ok
+    assert dtms2_accepts(*compact_history(h)).ok
 
 
 def test_trace_refinement_rejects_dirty_read() -> None:
@@ -369,11 +431,11 @@ def test_trace_refinement_rejects_dirty_read() -> None:
         H.inv_read(2, 0), H.res_read(2, 1),
         H.inv_commit(1), H.res_commit(1),
     )
-    r = check_trace_refinement(h)
+    r = dtms2_accepts(*compact_history(h))
     assert not r.ok and r.failed_at == 7
     # renaming transactions, addresses and non-zero values keeps the verdict
     # and the failing index
     renamed = tuple(H.Event(e.ev, {1: 5, 2: 9}.get(e.tx), {0: 7}.get(e.addr),
                             {1: 3}.get(e.val), e.abort) for e in h)
-    r = check_trace_refinement(renamed)
+    r = dtms2_accepts(*compact_history(renamed))
     assert not r.ok and r.failed_at == 7

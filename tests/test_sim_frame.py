@@ -49,20 +49,24 @@ RUNS.append(pytest.param("wrong_read", CHECKS[1:], id="wrong_read-no_opacity"))
 
 # (histories, states, violations, sha256 prefix of the sorted violations)
 # of each run, by mode, fault and whether opacity ran, as the pipeline that
-# carried both frames gave them
+# carried both frames gave them; the wrong_read rows are re-pinned for the
+# relation whose per-transaction clauses prune the frame: its read-value
+# clause drops the images that read the other value from an older snapshot,
+# so more lying read responses end in simrel (and a walk that ends sooner
+# shifts the seeded walks after it)
 _PINNED = {
     ("sweep", None, True): (19256, 2281, 0, "e3b0c44298fc1c14"),
     ("sweep", "skip_undo_log", True): (10173, 1093, 150, "37c3d6d03b3b4360"),
     ("sweep", "skip_flush_W7", True): (25038, 3599, 584, "7269882781185053"),
     ("sweep", "skip_log_clear_E2", True): (16598, 1723, 207, "05e8f7be0406ec3f"),
-    ("sweep", "wrong_read", True): (12210, 2281, 615, "c91a30aa880506a3"),
-    ("sweep", "wrong_read", False): (12210, 2281, 318, "1bd539f8a7c8b813"),
+    ("sweep", "wrong_read", True): (12210, 2281, 621, "d19c66bdf2bf865e"),
+    ("sweep", "wrong_read", False): (12210, 2281, 324, "534ac8e43573ce0d"),
     ("walks", None, True): (3000, 1686, 0, "e3b0c44298fc1c14"),
     ("walks", "skip_undo_log", True): (3000, 849, 1769, "3edd6bff5f592e7d"),
     ("walks", "skip_flush_W7", True): (3000, 2069, 394, "8dfc729fbeef8981"),
     ("walks", "skip_log_clear_E2", True): (3000, 1190, 1489, "e57f5a121d4f6250"),
-    ("walks", "wrong_read", True): (3000, 1540, 3335, "0fdcdf28ac531399"),
-    ("walks", "wrong_read", False): (3000, 1540, 1671, "599aebf72d4bae66"),
+    ("walks", "wrong_read", True): (3000, 1535, 3349, "1788661dad197537"),
+    ("walks", "wrong_read", False): (3000, 1535, 1680, "e69430c801f785f7"),
 }
 
 
