@@ -106,7 +106,7 @@ def _finish_run(report: CheckReport, checks: Sequence[str],
                 out: str | None, report_path: str | None) -> int:
     counts = {c: 0 for c in checks}
     for v in report.violations:
-        counts[v.check] = counts.get(v.check, 0) + 1
+        counts[v.selected_by] = counts.get(v.selected_by, 0) + 1
     print(f"histories explored: {report.histories_explored}")
     print(f"states visited:     {report.states_visited}")
     for c in sorted(counts):
@@ -151,7 +151,6 @@ def _config_from(args: argparse.Namespace) -> ExplorationConfig:
         min_crashes=getattr(args, "min_crashes", 0),
         continue_prob=getattr(args, "continue_prob", 0.0),
         crash_prob=getattr(args, "crash_prob", None),
-        dedup=getattr(args, "dedup", "auto"),
         force=getattr(args, "force", False),
     )
 
@@ -284,8 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--checks", default="opacity,refinement",
                     help="comma list from opacity,refinement,simrel,"
                          "invariants (default opacity,refinement)")
-    ex.add_argument("--dedup", choices=("auto", "state", "context"),
-                    default="auto", help="state-merging policy")
+    # the search cuts by the state quotient alone; the flag stays, with that
+    # one choice, because bench/workloads.py passes it
+    ex.add_argument("--dedup", choices=("state",), default="state",
+                    help="state-merging policy (only: state)")
     ex.add_argument("--force", action="store_true",
                     help="override the exhaustive-bounds safety guard")
     _add_output_flags(ex)

@@ -2,13 +2,14 @@
 
 Exhaustive mode runs a depth-first search over every enabled action with
 per-path crash and flush budgets, a begin-retry cut, and visited-state
-deduplication keyed by the frozen machine state, or by the state and its
-path record (``_Path``: budgets, checker frames, unflushed addresses and
-well-formedness status).  Random mode runs seeded walks, uniform by
-default, with optional crash/continuation steering.  A third driver walks
-the reference automaton directly for its own checks.  ``canonical_hash``
-is the state's digest that stays stable across processes, for results
-that must be compared between runs.
+deduplication keyed by the frozen machine state alone.  That cut is a
+quotient: a path that reaches a state already expanded with as much depth
+left ends there, whatever its history, so the sweep checks every edge it
+walks but not every history within the bounds.  Random mode runs seeded
+walks, uniform by default, with optional crash/continuation steering.  A
+third driver walks the reference automaton directly for its own checks.
+``canonical_hash`` is the state's digest that stays stable across
+processes, for results that must be compared between runs.
 
 Checks run prefix-incrementally: every emitted event advances the
 well-formedness status vector, the consistency oracle (at the events that
@@ -30,8 +31,7 @@ the internal closure of ``trace``, and after every event edge inside
 When both checks run, a path therefore carries ``sim`` alone, and
 refinement is decided by replaying the history through the acceptor only
 at an event where ``sim`` empties or opacity fails; the verdicts are those
-of carrying both frames.  Exhaustive ``context`` dedup keys on the whole
-path record, so there both frames are carried.
+of carrying both frames.
 """
 from __future__ import annotations
 
@@ -108,17 +108,6 @@ class ExplorationConfig:
     min_crashes: int = 0
     crash_prob: float | None = None
     continue_prob: float = 0.0
-    # "state": cut a path when its state was seen before (maximal state
-    # coverage; every walked edge is still checked).  "context":
-    # cut only when the state and its whole path record (budgets, checker
-    # frames, unflushed addresses, well-formedness status) repeat, so
-    # counterexample paths are never merged away — needed when hunting
-    # injected bugs, where a crash-and-recover prefix can converge to a
-    # state some healthy prefix reached first.  "auto" picks "context"
-    # when a mutation is active.  Both key on the frozen values
-    # themselves; canonical_hash is the digest for comparisons across
-    # processes.
-    dedup: str = "auto"
     # override for the exhaustive-mode state-space guard
     force: bool = False
 
@@ -155,8 +144,6 @@ class ExplorationConfig:
                     or not 0.0 <= p <= 1.0):
                 raise ValueError(
                     f"{name} must be a number in [0, 1], got {p!r}")
-        if self.dedup not in ("auto", "state", "context"):
-            raise ValueError(f"unknown dedup policy {self.dedup!r}")
         d = self.domain
         if exhaustive and not self.force and (
                 d.num_txns > 3 or d.num_addrs > 2 or d.num_vals > 2):
@@ -165,20 +152,25 @@ class ExplorationConfig:
                 " / 2 values explodes; override with --force"
                 " (force=True in ExplorationConfig)")
 
-    @property
-    def dedup_policy(self) -> str:
-        if self.dedup != "auto":
-            return self.dedup
-        return "context" if self.mutation is not None else "state"
-
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed check with the (prefix-truncated) counterexample."""
+    """One failed check with the (prefix-truncated) counterexample.
+
+    ``check`` names what failed; an invariant is named
+    ``invariant.<name>``, and ``selected_by`` gives the ``checks`` entry
+    that ran it.
+    """
 
     check: str
     history: H.History
     detail: dict = field(default_factory=dict, compare=True)
+
+    @property
+    def selected_by(self) -> str:
+        if self.check.startswith("invariant."):
+            return "invariants"
+        return self.check
 
 
 @dataclass
@@ -213,14 +205,15 @@ class CheckReport:
         }
 
 
-def _config_block(cfg: ExplorationConfig, dedup: str | None) -> dict:
-    """The settings a report covers: ``dedup`` is the resolved policy by
-    which the run cut paths, None when it cut none."""
+def _config_block(cfg: ExplorationConfig) -> dict:
+    """The settings a report covers.  ``dedup`` names the key by which the
+    run cut paths: None here, for walks that cut none, and "state" once
+    the exhaustive search, which cuts by the state quotient, sets it."""
     d = cfg.domain
     return {
         "domain": {"num_txns": d.num_txns, "num_addrs": d.num_addrs,
                    "num_vals": d.num_vals},
-        "dedup": dedup,
+        "dedup": None,
         "max_steps": cfg.max_steps,
         "max_crashes": cfg.max_crashes,
         "flush_budget": cfg.flush_budget,
@@ -296,8 +289,8 @@ class _Path(NamedTuple):
     are the automaton candidate sets of the refinement and simrel checks
     (None when the check is off).  ``sim`` lies inside the internal
     closure of ``trace`` after every edge and inside ``trace`` after every
-    event edge, so when both checks run ``trace`` is None unless the dedup
-    key reads it: a non-empty ``sim`` already proves the trace accepted.
+    event edge, so when both checks run ``trace`` is None: a non-empty
+    ``sim`` already proves the trace accepted.
     ``dirty`` holds the addresses written back but not yet flushed, and
     ``wf`` the well-formedness status vector of the path's events.
     """
@@ -327,22 +320,18 @@ class _Pipeline:
     """Per-edge checking shared by exhaustive and random exploration; it
     collects the run's violations in ``report``.
 
-    ``dedup`` is the policy by which the run cuts paths, None when it
-    cuts none.  When both automaton checks run, the simulation frame
-    decides refinement and paths carry no trace frame (``replay``), unless
-    the dedup keys read the whole path record, as under ``context``.
+    When both automaton checks run, the simulation frame decides
+    refinement and paths carry no trace frame (``replay``).
     """
 
-    def __init__(self, cfg: ExplorationConfig,
-                 dedup: str | None = None) -> None:
+    def __init__(self, cfg: ExplorationConfig) -> None:
         self.cfg = cfg
         checks = self.checks = cfg.check_set
         self.machine = DtmlMachine(cfg.domain, mutation=cfg.mutation)
         self.acceptor = None
         if checks & {"refinement", "simrel"}:
             self.acceptor = Acceptor(Dtms2Machine(cfg.domain))
-        self.replay = ({"refinement", "simrel"} <= checks
-                       and dedup != "context")
+        self.replay = {"refinement", "simrel"} <= checks
         self.sim_filter = lru_cache(maxsize=SIM_MEMO_SIZE)(sim_filter)
         value_domain = range(cfg.domain.num_vals)
         bounds = OracleBounds.covering(cfg.domain)
@@ -354,7 +343,7 @@ class _Pipeline:
             return end_to_end_opaque(history, value_domain, bounds)
 
         self.opacity = opacity
-        self.report = CheckReport(config=_config_block(cfg, dedup))
+        self.report = CheckReport(config=_config_block(cfg))
 
     def start(self, s0: DtmlState) -> _Path:
         """The path record of the empty schedule at the initial state
@@ -469,7 +458,8 @@ class _Pipeline:
 def _stop_satisfied(stop_on, report: CheckReport) -> bool:
     if not stop_on:
         return False
-    seen = {v.check for v in report.violations}
+    seen = {name for v in report.violations
+            for name in (v.check, v.selected_by)}
     return set(stop_on) <= seen
 
 
@@ -486,12 +476,11 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
     every named check has at least one recorded violation.
     """
     cfg.validate(_MACHINE_CHECKS, exhaustive=True)
-    context_dedup = cfg.dedup_policy == "context"
-    pipe = _Pipeline(cfg, cfg.dedup_policy)
+    pipe = _Pipeline(cfg)
     machine = pipe.machine
     report = pipe.report
-    # dedup key (the state, or the state and its path record) -> the most
-    # remaining depth it was expanded with
+    report.config["dedup"] = "state"
+    # state -> the most remaining depth it was expanded with
     visited: dict = {}
     events: list[H.Event] = []
     start = time.perf_counter()
@@ -510,11 +499,10 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
         # with at least as much remaining depth — a revisit with more
         # steps left can reach continuations the first visit could not
         remaining = cfg.max_steps - depth
-        key = (s, path) if context_dedup else s
-        if visited.get(key, -1) >= remaining:
+        if visited.get(s, -1) >= remaining:
             finish_path()
             return
-        visited[key] = remaining
+        visited[s] = remaining
         if depth >= cfg.max_steps:
             finish_path()
             return
@@ -539,8 +527,7 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
 
     s0 = machine.initial()
     dfs(s0, 0, pipe.start(s0))
-    report.states_visited = (len({s for s, _ in visited}) if context_dedup
-                             else len(visited))
+    report.states_visited = len(visited)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -649,7 +636,7 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
     erased.
     """
     cfg.validate(_REFERENCE_CHECKS)
-    report = CheckReport(config=_config_block(cfg, None))
+    report = CheckReport(config=_config_block(cfg))
     bounds = OracleBounds.covering(cfg.domain)
     durable = Dtms2Machine(cfg.domain)
     crash_free = Dtms2Machine(cfg.domain, durable=False)

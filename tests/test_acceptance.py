@@ -59,8 +59,7 @@ def full_sweep():
 
     cfg = ExplorationConfig(
         domain=DOMAIN, max_crashes=1, flush_budget=1, max_steps=60,
-        checks=("opacity", "refinement", "simrel", "invariants"),
-        dedup="state")
+        checks=("opacity", "refinement", "simrel", "invariants"))
     t0 = time.monotonic()
     report = explore_exhaustive(cfg, on_history=keep)
     return report, samples, time.monotonic() - t0

@@ -94,6 +94,16 @@ def test_flags_no_command_reads_are_refused(capsys, argv) -> None:
 
 
 @pytest.mark.parametrize("argv", [
+    ["explore", "--dedup", "context"],
+    ["explore", "--dedup", "auto"],
+])
+def test_removed_dedup_policies_are_refused(capsys, argv) -> None:
+    # the exhaustive search cuts by the state quotient alone
+    assert main(argv) == 2
+    assert f"invalid choice: '{argv[2]}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["explore", "--checks", ""],
     ["fuzz", "--checks", ","],
     ["walk-dtms2", "--checks", " , "],
@@ -136,6 +146,19 @@ def test_explore_mutant_without_out_prints_counterexample(capsys) -> None:
     jsonl = [line for line in out.splitlines()
              if line.startswith("{")]
     assert jsonl and all(json.loads(line)["ev"] for line in jsonl)
+
+
+def test_invariants_check_counts_and_stops_on_each_invariant(capsys) -> None:
+    # a violation is named after its invariant, and falls under the
+    # invariants check both in the counts and in the stop
+    rc = main(["explore", "--addrs", "1", "--mutation", "skip_log_clear_E2",
+               "--max-steps", "30", "--checks", "invariants"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["histories explored: 1979",
+                         "states visited:     619",
+                         "check invariants: 1 violation(s)"]
+    assert lines[4].startswith("counterexample (invariant.logQuiet, ")
 
 
 def test_fuzz_clean_and_seeded(capsys) -> None:

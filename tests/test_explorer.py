@@ -127,7 +127,7 @@ def test_acceptor_memo_size_changes_no_verdict_and_bounds_its_caches(
     monkeypatch.setattr(explorer, "Acceptor", Recording)
     cfg = ExplorationConfig(max_crashes=1, flush_budget=1, max_steps=16,
                             checks=("opacity", "refinement", "simrel",
-                                    "invariants"), dedup="state")
+                                    "invariants"))
 
     def run():
         seen: list[H.History] = []
@@ -156,7 +156,7 @@ def test_acceptor_memo_size_changes_no_verdict_and_bounds_its_caches(
 # a run whose paths take many flush edges
 FLUSH_RUN = ExplorationConfig(
     domain=H.Domain(2, 1, 2), max_crashes=1, flush_budget=1, max_steps=20,
-    checks=("refinement", "simrel", "invariants"), dedup="context")
+    checks=("refinement", "simrel", "invariants"))
 
 
 def test_flush_edges_carry_what_the_full_checks_give(monkeypatch) -> None:
@@ -185,26 +185,41 @@ def test_flush_edges_carry_what_the_full_checks_give(monkeypatch) -> None:
 # post-crash read: write-back/commit work pre-crash plus recovery length
 _BITE_DEPTH = {"skip_undo_log": 23, "skip_flush_W7": 29,
                "skip_log_clear_E2": 34}
-# (histories, states) of the context-dedup search up to its stop: a change
-# to the search that should change nothing must leave these alone
-_BITE_COUNTS = {"skip_undo_log": (27280, 1259),
-                "skip_flush_W7": (91464, 2475),
-                "skip_log_clear_E2": (134313, 1788)}
+# (histories, states, failing action kind) of the state sweep with simrel
+# up to its first violation: the kind is where the per-pair simulation of
+# test_refinement finds each fault's dead edges, and a change to the search
+# that should change nothing must leave the counts alone
+_BITES = {"skip_undo_log": (333, 150, "W6"),
+          "skip_flush_W7": (3070, 966, "crash"),
+          "skip_log_clear_E2": (962, 364, "E2")}
+
+
+def _bite_config(mutation: str, checks: tuple[str, ...]) -> ExplorationConfig:
+    return ExplorationConfig(domain=H.Domain(2, 1, 2),
+                             max_crashes=1, flush_budget=1,
+                             max_steps=_BITE_DEPTH[mutation],
+                             mutation=mutation, checks=checks)
 
 
 @pytest.mark.parametrize("mutation", ["skip_undo_log", "skip_flush_W7",
                                       "skip_log_clear_E2"])
 def test_exhaustive_catches_mutations(mutation: str) -> None:
-    cfg = ExplorationConfig(domain=H.Domain(2, 1, 2),
-                            max_crashes=1, flush_budget=1,
-                            max_steps=_BITE_DEPTH[mutation],
-                            mutation=mutation,
-                            checks=("opacity", "refinement"))
-    rep = explore_exhaustive(cfg, stop_on={"opacity", "refinement"})
-    kinds = {v.check for v in rep.violations}
-    assert "opacity" in kinds and "refinement" in kinds
-    assert (rep.histories_explored,
-            rep.states_visited) == _BITE_COUNTS[mutation]
+    rep = explore_exhaustive(_bite_config(mutation, ("simrel",)),
+                             stop_on={"simrel"})
+    (v,) = rep.violations
+    assert v.check == "simrel"
+    assert (rep.histories_explored, rep.states_visited,
+            v.detail["action"].partition("(")[0]) == _BITES[mutation]
+
+
+def test_exhaustive_catches_skip_undo_log_by_its_history() -> None:
+    # the state quotient can merge a faulty path into a healthy one before
+    # the stale read shows; this fault still shows within the sweep
+    checks = ("opacity", "refinement")
+    rep = explore_exhaustive(_bite_config("skip_undo_log", checks),
+                             stop_on=set(checks))
+    assert {v.check for v in rep.violations} == set(checks)
+    assert (rep.histories_explored, rep.states_visited) == (6163, 1255)
     # re-verify the counterexamples with the standalone oracles
     bad_opacity = next(v for v in rep.violations if v.check == "opacity")
     verdict = durably_opaque(bad_opacity.history, value_domain=range(2))
@@ -293,13 +308,11 @@ def test_report_carries_the_run_config() -> None:
                             checks=("opacity", "simrel"),
                             mutation="skip_undo_log", num_walks=3)
     config = {"domain": {"num_txns": 1, "num_addrs": 1, "num_vals": 2},
-              "dedup": "context", "max_steps": 6, "max_crashes": 1,
+              "dedup": "state", "max_steps": 6, "max_crashes": 1,
               "flush_budget": 0, "checks": ["opacity", "simrel"],
               "mutation": "skip_undo_log"}
-    # auto resolves to context under a mutation; walks cut no path
+    # the exhaustive search cuts by the state quotient; walks cut no path
     assert explore_exhaustive(cfg).as_dict()["config"] == config
-    assert explore_exhaustive(replace(cfg, dedup="state")).as_dict()[
-        "config"] == {**config, "dedup": "state"}
     assert explore_random(cfg).as_dict()["config"] == {**config,
                                                        "dedup": None}
     ref = replace(cfg, checks=("opacity",), mutation=None)

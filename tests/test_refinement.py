@@ -283,8 +283,7 @@ def test_forward_sim_catches_retained_log() -> None:
 # the per-transaction clauses are part of the relation ----------------------
 
 PC_TABLE_RUN = ExplorationConfig(domain=CFG, max_crashes=0, flush_budget=0,
-                                 max_steps=12, checks=("simrel",),
-                                 dedup="state")
+                                 max_steps=12, checks=("simrel",))
 
 
 def test_broken_pc_table_fails_the_simulation(monkeypatch) -> None:

@@ -33,8 +33,7 @@ from durastm.explorer import ExplorationConfig, explore_exhaustive, explore_rand
 
 CHECKS = ("opacity", "refinement", "simrel", "invariants")
 SWEEP = ExplorationConfig(domain=H.Domain(2, 1, 2), max_crashes=1,
-                          flush_budget=1, max_steps=30, checks=CHECKS,
-                          dedup="state")
+                          flush_budget=1, max_steps=30, checks=CHECKS)
 WALKS = ExplorationConfig(domain=H.Domain(2, 1, 2), max_crashes=1,
                           flush_budget=1, max_steps=60, checks=CHECKS,
                           seed=5, num_walks=3000, min_crashes=1,
@@ -163,8 +162,5 @@ def test_sim_frame_lies_inside_the_trace_frame(monkeypatch, mode, fault,
 
 def test_both_checks_carry_the_simulation_frame_alone() -> None:
     cfg = ExplorationConfig(domain=H.Domain(1, 1, 2), checks=CHECKS)
-    assert explorer._Pipeline(cfg, "state").start(
+    assert explorer._Pipeline(cfg).start(
         DtmlMachine(cfg.domain).initial()).trace is None
-    # context dedup keys on the path record, so there both frames stay
-    assert explorer._Pipeline(cfg, "context").start(
-        DtmlMachine(cfg.domain).initial()).trace is not None
