@@ -280,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("explore", help="exhaustive bounded exploration")
     _add_machine_flags(ex)
-    ex.add_argument("--checks", default="opacity,refinement",
+    ex.add_argument("--checks", default="opacity,refinement,simrel",
                     help="comma list from opacity,refinement,simrel,"
-                         "invariants (default opacity,refinement)")
+                         "invariants (default opacity,refinement,simrel)")
     # the search cuts by the state quotient alone; the flag stays, with that
     # one choice, because bench/workloads.py passes it
     ex.add_argument("--dedup", choices=("state",), default="state",

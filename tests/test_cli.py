@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from durastm import histories as H
 from durastm.cli import main, read_trace, write_trace
-from durastm.dtml import DtmlMachine, act
+from durastm.dtml import MUTATIONS, DtmlMachine, act
 
 
 def _committed_write_history() -> H.History:
@@ -127,9 +127,12 @@ def test_explore_clean_run_exits_zero(capsys) -> None:
 
 
 def test_explore_mutant_writes_counterexample(tmp_path, capsys) -> None:
+    # the trace checks alone, so that the run stops at a history the
+    # oracle rejects rather than at simrel's earlier failing action
     out = tmp_path / "cex.jsonl"
     rc = main(["explore", "--mutation", "skip_undo_log", "--addrs", "1",
-               "--max-steps", "23", "--out", str(out)])
+               "--max-steps", "23", "--checks", "opacity,refinement",
+               "--out", str(out)])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
     cex = read_trace(str(out))
@@ -146,6 +149,16 @@ def test_explore_mutant_without_out_prints_counterexample(capsys) -> None:
     jsonl = [line for line in out.splitlines()
              if line.startswith("{")]
     assert jsonl and all(json.loads(line)["ev"] for line in jsonl)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_explore_default_checks_catch_every_mutation(capsys,
+                                                     mutation) -> None:
+    # the default checks include simrel: under the state quotient the two
+    # trace checks let skip_log_clear_E2 pass at every bound
+    assert main(["explore", "--addrs", "1", "--mutation", mutation]) == 1
+    out = capsys.readouterr().out
+    assert "check simrel: " in out and "check simrel: 0 " not in out
 
 
 def test_invariants_check_counts_and_stops_on_each_invariant(capsys) -> None:

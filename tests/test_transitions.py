@@ -17,12 +17,14 @@ state, edge, action or event.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 
 from durastm import histories as H
 from durastm.dtml import MUTATIONS, DtmlMachine, act
-from durastm.dtms2 import Dtms2Machine, _matching_actions, _silent, mact
+from durastm.dtms2 import (Dtms2Machine, Dtms2State, _matching_actions,
+                           _silent, mact)
 
 _DTML_LINES = ("B1", "B2", "R1", "R2", "W1", "W2", "W3", "W4", "W5", "W6",
                "W7", "E1", "E2", "E3")
@@ -252,3 +254,52 @@ def test_dtms2_matching_actions_are_the_enabled_ones_that_emit_the_event(
         for e in events:
             assert _matching_actions(m, s, e) == emitters.get(e, []), (s, e)
     assert len(seen) == DTMS2_GRAPHS[dims, durable][0]
+
+
+def _atoms(part):
+    """The leaves of a nested tuple."""
+    if isinstance(part, tuple):
+        for x in part:
+            yield from _atoms(x)
+    else:
+        yield part
+
+
+def parts_shared(m, fields: tuple[str, ...]) -> dict:
+    """Walk m's reachable graph and require that each field of every
+    state it builds is the first object seen with that value, so that each
+    field has as many distinct ids as distinct values; and that no state
+    holds a bool, so that keys the part memos find equal are equal values.
+    Returns the number of distinct values per field."""
+    first: dict = {}  # (field, value) -> the first object seen
+    seen = {m.initial()}
+    frontier = [m.initial()]
+    while frontier:
+        s = frontier.pop()
+        for s2 in [s] + [m.step(s, a)[0] for a in m.enabled(s)]:
+            assert not any(isinstance(x, bool) for x in _atoms(s2)), s2
+            for f in fields:
+                part = getattr(s2, f)
+                assert first.setdefault((f, part), part) is part, (f, part)
+            if s2 not in seen:
+                seen.add(s2)
+                frontier.append(s2)
+    return Counter(f for f, _ in first)
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+def test_dtml_state_parts_are_shared(mutation) -> None:
+    # one object per distinct per-transaction tuple, memory and undo log
+    m = DtmlMachine(H.Domain(2, 1, 2), mutation=mutation)
+    counts = parts_shared(m, ("pc", "loc", "in_addr", "in_val", "mem", "log"))
+    assert counts["pc"] > 100 and counts["mem"] > 1
+
+
+@pytest.mark.parametrize("dims, durable", list(DTMS2_GRAPHS),
+                         ids=["2x1x2-durable", "2x1x2-crash_free"])
+def test_dtms2_state_parts_are_shared(dims, durable) -> None:
+    # one object per distinct per-transaction tuple, read and write set and
+    # snapshot sequence
+    m = Dtms2Machine(H.Domain(*dims), durable=durable)
+    counts = parts_shared(m, Dtms2State._fields)
+    assert counts["mems"] > 1 and counts["rd_set"] > 1 and counts["wr_set"] > 1
