@@ -85,13 +85,19 @@ def _status(ok: bool) -> str:
 
 
 def _pick_counterexample(violations: Sequence[Violation]) -> Violation:
-    for v in violations:
-        if v.check == "opacity":
-            return v
-    return violations[0]
+    """An opacity violation if any, else the first one that is not
+    ``simrel``: a simrel failure lies in the states, and its history may
+    pass both ``check-history`` and ``check-refinement``."""
+    def rank(v: Violation) -> int:
+        return 0 if v.check == "opacity" else 2 if v.check == "simrel" else 1
+    return min(violations, key=rank)
 
 
 def _emit_counterexample(v: Violation, out: str | None) -> None:
+    if v.check == "simrel":
+        print(f"simrel broke at action {v.detail['action']} "
+              f"({', '.join(v.detail['clauses'])}); the history up to it "
+              "passed every other check of the run")
     if out is not None:
         write_trace(v.history, out)
         print(f"counterexample ({v.check}, {len(v.history)} events) "

@@ -50,7 +50,7 @@ from .histories import (
     res_write,
     res_write_abort,
 )
-from .nvm import MemoryPair, UndoLog
+from .nvm import MemoryPair, UndoLog, shared, with_entry
 
 MUTATIONS = ("skip_flush_W7", "skip_undo_log", "skip_log_clear_E2")
 # the control points of a transaction that is not live: not yet begun, or
@@ -125,27 +125,6 @@ def _txn_table(t: int, addrs: range,
     return table
 
 
-# entries of each part memo: ``_with`` maps a tuple, an index and a value to
-# the updated tuple, and ``_shared`` keeps one object per distinct tuple.
-# On the 28-step 2x2x2 sweep ``_with`` takes 282,775 hits and 1,430 misses
-# and ``_shared`` 997 hits and 437 misses; the whole 3x1x2 graph has 7,565
-# distinct tuples, which this size holds
-PART_MEMO_SIZE = 8192
-
-
-@lru_cache(maxsize=PART_MEMO_SIZE)
-def _shared(fields: tuple) -> tuple:
-    """The one shared per-transaction tuple equal to fields.  No state field
-    holds a bool, so a key that compares equal is the same value."""
-    return fields
-
-
-@lru_cache(maxsize=PART_MEMO_SIZE)
-def _with(fields: tuple, i: int, value) -> tuple:
-    """The shared per-transaction tuple with entry i replaced."""
-    return _shared(fields[:i] + (value,) + fields[i + 1:])
-
-
 class DtmlMachine:
     """Transition relation of the algorithm, optionally with one mutation.
 
@@ -185,10 +164,10 @@ class DtmlMachine:
             glb=0,
             mem=MemoryPair.initial(self.domain.num_addrs),
             log=UndoLog.empty(),
-            pc=_shared(("NotStarted",) * n),
-            loc=_shared((0,) * n),
-            in_addr=_shared((None,) * n),
-            in_val=_shared((None,) * n),
+            pc=shared(("NotStarted",) * n),
+            loc=shared((0,) * n),
+            in_addr=shared((None,) * n),
+            in_val=shared((None,) * n),
             writer=None,
             syst_pc="RecIdle",
             rec_addr=None,
@@ -257,8 +236,9 @@ class DtmlMachine:
         for i, p in enumerate(s.pc):
             if p not in NOT_LIVE_PCS:
                 # a live transaction aborts and loses its snapshot and buffer
-                pc, loc = _with(pc, i, "Aborted"), _with(loc, i, 0)
-                in_addr, in_val = _with(in_addr, i, None), _with(in_val, i, None)
+                pc, loc = with_entry(pc, i, "Aborted"), with_entry(loc, i, 0)
+                in_addr = with_entry(in_addr, i, None)
+                in_val = with_entry(in_val, i, None)
         return DtmlState(s.glb, s.mem.crash_reset(), s.log, pc, loc, in_addr,
                          in_val, None, "C1", None, None)
 
@@ -292,7 +272,7 @@ class DtmlMachine:
         if k == "invBegin":
             nxt, ev = "B1", inv_begin(t)
         elif k == "B1":
-            nxt, loc = "B2", _with(loc, i, glb)
+            nxt, loc = "B2", with_entry(loc, i, glb)
         elif k == "B2":
             nxt = "BeginResp" if loc[i] % 2 == 0 else "B1"
         elif k == "resBegin":
@@ -300,9 +280,10 @@ class DtmlMachine:
 
         elif k == "invRead":
             nxt, ev = "R1", inv_read(t, a.addr)
-            in_addr, in_val = _with(in_addr, i, a.addr), _with(in_val, i, None)
+            in_addr = with_entry(in_addr, i, a.addr)
+            in_val = with_entry(in_val, i, None)
         elif k == "R1":
-            nxt, in_val = "R2", _with(in_val, i, mem.read(in_addr[i]))
+            nxt, in_val = "R2", with_entry(in_val, i, mem.read(in_addr[i]))
         elif k == "R2":
             nxt = "ReadResp"
         elif k == "resRead":
@@ -313,13 +294,14 @@ class DtmlMachine:
 
         elif k == "invWrite":
             nxt, ev = "W1", inv_write(t, a.addr, a.val)
-            in_addr, in_val = _with(in_addr, i, a.addr), _with(in_val, i, a.val)
+            in_addr = with_entry(in_addr, i, a.addr)
+            in_val = with_entry(in_val, i, a.val)
         elif k == "W1":
             nxt = "W2" if loc[i] % 2 == 0 else "W4"
         elif k == "W2":
             nxt, glb, writer = "W3", loc[i] + 1, t
         elif k == "W3":
-            nxt, loc = "W4", _with(loc, i, loc[i] + 1)
+            nxt, loc = "W4", with_entry(loc, i, loc[i] + 1)
         elif k == "W4":
             # only the first write to an address saves its old value
             skip = (self.mutation == "skip_undo_log"
@@ -355,10 +337,11 @@ class DtmlMachine:
         if nxt in ("Idle", "Committed", "Aborted"):
             # entering a resting or terminal control point clears the
             # operation buffer; terminal points also drop the snapshot
-            in_addr, in_val = _with(in_addr, i, None), _with(in_val, i, None)
+            in_addr = with_entry(in_addr, i, None)
+            in_val = with_entry(in_val, i, None)
             if nxt != "Idle":
-                loc = _with(loc, i, 0)
-        return DtmlState(glb, mem, log, _with(pc, i, nxt), loc, in_addr,
+                loc = with_entry(loc, i, 0)
+        return DtmlState(glb, mem, log, with_entry(pc, i, nxt), loc, in_addr,
                          in_val, writer, syst_pc, rec_addr, rec_val), ev
 
     # -- reporting -----------------------------------------------------------

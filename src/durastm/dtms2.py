@@ -49,6 +49,7 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .histories import CRASH, Domain, Event, History, res_read
+from .nvm import shared, with_entry
 
 # entries per acceptor step cache; bounds memory on long sweeps, where an
 # unbounded memo doubled peak RSS for no further speed-up
@@ -96,22 +97,6 @@ def mact(kind: str, tx: int | None = None, *, addr: int | None = None,
 Assignment = tuple[tuple[int, int], ...]  # sorted (addr, value) pairs
 
 
-# entries of each part memo: ``_with`` and ``_put`` map a tuple, a key and a
-# value to the updated tuple, and ``_shared`` keeps one object per distinct
-# part (per-transaction tuples, read and write sets, snapshots and snapshot
-# sequences).  On the 28-step 2x2x2 sweep ``_with`` takes 54,716 hits and
-# 480 misses, ``_put`` 5,107 and 36, and ``_shared`` 30,957 and 210; the
-# whole 3x1x2 graph has 1,420 distinct parts
-PART_MEMO_SIZE = 4096
-
-
-@lru_cache(maxsize=PART_MEMO_SIZE)
-def _shared(part: tuple) -> tuple:
-    """The one shared state part equal to part.  No state field holds a
-    bool, so a key that compares equal is the same value."""
-    return part
-
-
 def _get(aset: Assignment, addr: int) -> int | None:
     for a, v in aset:
         if a == addr:
@@ -119,9 +104,8 @@ def _get(aset: Assignment, addr: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=PART_MEMO_SIZE)
 def _put(aset: Assignment, addr: int, val: int) -> Assignment:
-    return _shared(tuple(sorted({**dict(aset), addr: val}.items())))
+    return shared(tuple(sorted({**dict(aset), addr: val}.items())))
 
 
 def _subset_of(aset: Assignment, store: tuple[int, ...]) -> bool:
@@ -139,12 +123,6 @@ class Dtms2State(NamedTuple):
     wr_set: tuple[Assignment, ...]
     cur_addr: tuple[int | None, ...]
     cur_val: tuple[int | None, ...]
-
-
-@lru_cache(maxsize=PART_MEMO_SIZE)
-def _with(fields: tuple, i: int, value) -> tuple:
-    """The shared per-transaction tuple with entry i replaced."""
-    return _shared(fields[:i] + (value,) + fields[i + 1:])
 
 
 def _valid(s: Dtms2State, i: int, by_idx: tuple) -> list:
@@ -272,13 +250,13 @@ class Dtms2Machine:
     def initial(self) -> Dtms2State:
         n = self.domain.num_txns
         return Dtms2State(
-            mems=_shared((_shared((0,) * self.domain.num_addrs),)),
-            pc=_shared(("notStarted",) * n),
-            begin_idx=_shared((0,) * n),
-            rd_set=_shared(((),) * n),
-            wr_set=_shared(((),) * n),
-            cur_addr=_shared((None,) * n),
-            cur_val=_shared((None,) * n),
+            mems=shared((shared((0,) * self.domain.num_addrs),)),
+            pc=shared(("notStarted",) * n),
+            begin_idx=shared((0,) * n),
+            rd_set=shared(((),) * n),
+            wr_set=shared(((),) * n),
+            cur_addr=shared((None,) * n),
+            cur_val=shared((None,) * n),
         )
 
     # -- enabledness -------------------------------------------------------
@@ -334,9 +312,9 @@ class Dtms2Machine:
         n = self.domain.num_txns
         pcs = tuple(pc if pc in ("notStarted", "committed") else "aborted"
                     for pc in s.pc)
-        empty, nothing = _shared(((),) * n), _shared((None,) * n)
-        return Dtms2State(_shared((s.mems[-1],)), _shared(pcs),
-                          _shared((0,) * n), empty, empty, nothing, nothing)
+        empty, nothing = shared(((),) * n), shared((None,) * n)
+        return Dtms2State(shared((s.mems[-1],)), shared(pcs),
+                          shared((0,) * n), empty, empty, nothing, nothing)
 
     def _apply_txn(self, s: Dtms2State, a: Dtms2Action,
                    i: int) -> tuple[Dtms2State, Event | None]:
@@ -345,34 +323,38 @@ class Dtms2Machine:
         ev = None if k in _INTERNAL_KINDS else _event(a, pc[i], cur_val[i])
         nxt = _NEXT_PC[k]
         if k == "invBegin":
-            begin_idx = _with(begin_idx, i, len(mems) - 1)
+            begin_idx = with_entry(begin_idx, i, len(mems) - 1)
         elif k == "invRead":
-            cur_addr = _with(cur_addr, i, a.addr)
+            cur_addr = with_entry(cur_addr, i, a.addr)
         elif k == "doRead":
             addr = cur_addr[i]
             v = _get(wr_set[i], addr)
             if v is None:
                 # a read its own write set does not answer joins the read set
                 v = mems[a.idx][addr]
-                rd_set = _with(rd_set, i, _put(rd_set[i], addr, v))
-            cur_val = _with(cur_val, i, v)
+                rd_set = with_entry(rd_set, i, _put(rd_set[i], addr, v))
+            cur_val = with_entry(cur_val, i, v)
         elif k == "invWrite":
-            cur_addr, cur_val = _with(cur_addr, i, a.addr), _with(cur_val, i, a.val)
+            cur_addr = with_entry(cur_addr, i, a.addr)
+            cur_val = with_entry(cur_val, i, a.val)
         elif k == "doWrite":
-            wr_set = _with(wr_set, i, _put(wr_set[i], cur_addr[i], cur_val[i]))
+            wr_set = with_entry(wr_set, i,
+                                _put(wr_set[i], cur_addr[i], cur_val[i]))
         elif k == "doCommitW":
             snap = list(mems[-1])
             for addr, v in wr_set[i]:
                 snap[addr] = v
-            mems = _shared(mems + (_shared(tuple(snap)),))
+            mems = shared(mems + (shared(tuple(snap)),))
 
         if nxt in ("ready", "committed", "aborted"):
-            cur_addr, cur_val = _with(cur_addr, i, None), _with(cur_val, i, None)
+            cur_addr = with_entry(cur_addr, i, None)
+            cur_val = with_entry(cur_val, i, None)
             if nxt != "ready":
-                begin_idx = _with(begin_idx, i, 0)
-                rd_set, wr_set = _with(rd_set, i, ()), _with(wr_set, i, ())
-        return Dtms2State(mems, _with(pc, i, nxt), begin_idx, rd_set, wr_set,
-                          cur_addr, cur_val), ev
+                begin_idx = with_entry(begin_idx, i, 0)
+                rd_set = with_entry(rd_set, i, ())
+                wr_set = with_entry(wr_set, i, ())
+        return Dtms2State(mems, with_entry(pc, i, nxt), begin_idx, rd_set,
+                          wr_set, cur_addr, cur_val), ev
 
 
 # -- acceptance ---------------------------------------------------------------

@@ -20,6 +20,10 @@ background flush changes nothing but the persistent store, which only the
 store-diff invariant reads, so a flush edge keeps the verdicts of its
 source.  A path
 ends at its first violation; the recorded counterexample is that prefix.
+A ``simrel`` violation is the one exception when other checks run: the
+path goes on under those checks alone, so that adding ``simrel`` to a run
+only adds violations and changes none of the others, nor the paths and
+states the run covers.
 
 A forward simulation implies trace inclusion, and the two frames show it:
 the simulation frame ``sim`` only ever takes images of the trace frame's
@@ -39,7 +43,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from . import histories as H
@@ -287,10 +291,11 @@ class _Path(NamedTuple):
     background flushes the path took, and per transaction how often a
     begin re-read an odd (claimed) counter at B2.  ``trace`` and ``sim``
     are the automaton candidate sets of the refinement and simrel checks
-    (None when the check is off).  ``sim`` lies inside the internal
-    closure of ``trace`` after every edge and inside ``trace`` after every
-    event edge, so when both checks run ``trace`` is None: a non-empty
-    ``sim`` already proves the trace accepted.
+    (None when the check is off, and ``sim`` also past a simrel
+    violation).  ``sim`` lies inside the internal closure of ``trace``
+    after every edge and inside ``trace`` after every event edge, so when
+    both checks run ``trace`` is None while ``sim`` is carried: a
+    non-empty ``sim`` already proves the trace accepted.
     ``dirty`` holds the addresses written back but not yet flushed, and
     ``wf`` the well-formedness status vector of the path's events.
     """
@@ -321,7 +326,9 @@ class _Pipeline:
     collects the run's violations in ``report``.
 
     When both automaton checks run, the simulation frame decides
-    refinement and paths carry no trace frame (``replay``).
+    refinement and paths carry no trace frame (``replay``).  Past a
+    ``simrel`` violation a path goes on under the other checks when any
+    runs (``beyond_simrel``), carrying the trace frame instead.
     """
 
     def __init__(self, cfg: ExplorationConfig) -> None:
@@ -332,6 +339,7 @@ class _Pipeline:
         if checks & {"refinement", "simrel"}:
             self.acceptor = Acceptor(Dtms2Machine(cfg.domain))
         self.replay = {"refinement", "simrel"} <= checks
+        self.beyond_simrel = bool(checks - {"simrel"})
         self.sim_filter = lru_cache(maxsize=SIM_MEMO_SIZE)(sim_filter)
         value_domain = range(cfg.domain.num_vals)
         bounds = OracleBounds.covering(cfg.domain)
@@ -388,6 +396,9 @@ class _Pipeline:
         the path carries no trace frame, refinement is decided by replaying
         the history only at an event where opacity fails or ``sim``
         empties: elsewhere a non-empty ``sim`` proves the trace accepted.
+        A ``simrel`` violation alone ends the path only when no other check
+        runs; otherwise the record goes on without ``sim``, and with the
+        trace frame of the history where refinement runs.
 
         A background flush copies one address from the volatile to the
         persistent store, and only ``invariant.flushDiff`` reads the
@@ -439,11 +450,16 @@ class _Pipeline:
                 if (ev is not None and self.replay
                         and not self.acceptor.accepts(tuple(events))):
                     report.violations.append(self._rejected(events))
-                else:
-                    report.violations.append(Violation(
-                        "simrel", tuple(events),
-                        {"action": str(a), "clauses": list(hard)}))
-                return None
+                    return None
+                report.violations.append(Violation(
+                    "simrel", tuple(events),
+                    {"action": str(a), "clauses": list(hard)}))
+                if not self.beyond_simrel:
+                    return None
+                sim = None
+                if self.replay:
+                    trace = reduce(self.acceptor.advance, events,
+                                   self.acceptor.initial())
         return _Path(_spend(path.budgets, s, a), trace, sim, dirty, wf)
 
     @staticmethod
@@ -455,12 +471,23 @@ class _Pipeline:
                           "event": str(events[-1])})
 
 
-def _stop_satisfied(stop_on, report: CheckReport) -> bool:
-    if not stop_on:
-        return False
-    seen = {name for v in report.violations
-            for name in (v.check, v.selected_by)}
-    return set(stop_on) <= seen
+def _stop_rule(stop_on, report: CheckReport):
+    """A test of whether every check that ``stop_on`` names has a violation
+    in ``report`` yet.  Each call reads only the violations added since the
+    last one: a run that goes on past many simrel violations would
+    otherwise pay for all of them at each new one."""
+    wanted = set(stop_on or ())
+    seen: set[str] = set()
+    read = 0
+
+    def reached() -> bool:
+        nonlocal read
+        for v in report.violations[read:]:
+            seen.update((v.check, v.selected_by))
+        read = len(report.violations)
+        return bool(wanted) and wanted <= seen
+
+    return reached
 
 
 # -- exhaustive mode -----------------------------------------------------------
@@ -479,6 +506,7 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
     pipe = _Pipeline(cfg)
     machine = pipe.machine
     report = pipe.report
+    stop = _stop_rule(stop_on, report)
     report.config["dedup"] = "state"
     # state -> the most remaining depth it was expanded with
     visited: dict = {}
@@ -513,11 +541,12 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
             s2, ev = machine.step(s, a)
             if ev is not None:
                 events.append(ev)
+            found = len(report.violations)
             path2 = pipe.check_edge(a, s, s2, ev, events, path)
-            if path2 is None:
+            if len(report.violations) > found and stop():
+                stopped = True
+            if path2 is None or stopped:
                 finish_path()
-                if _stop_satisfied(stop_on, report):
-                    stopped = True
             else:
                 dfs(s2, depth + 1, path2)
             if ev is not None:
@@ -588,6 +617,7 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
     pipe = _Pipeline(cfg)
     machine = pipe.machine
     report = pipe.report
+    stop = _stop_rule(stop_on, report)
     rng = random.Random(cfg.seed)
     seen: set[DtmlState] = set()
     start = time.perf_counter()
@@ -614,7 +644,7 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
         report.histories_explored += 1
         if on_history is not None:
             on_history(tuple(events))
-        if _stop_satisfied(stop_on, report):
+        if stop():
             break
 
     report.states_visited = len(seen)
@@ -637,6 +667,7 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
     """
     cfg.validate(_REFERENCE_CHECKS)
     report = CheckReport(config=_config_block(cfg))
+    stop = _stop_rule(stop_on, report)
     bounds = OracleBounds.covering(cfg.domain)
     durable = Dtms2Machine(cfg.domain)
     crash_free = Dtms2Machine(cfg.domain, durable=False)
@@ -672,7 +703,7 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
         report.histories_explored += 1
         if on_history is not None:
             on_history(h)
-        if _stop_satisfied(stop_on, report):
+        if stop():
             break
 
     report.elapsed = time.perf_counter() - start

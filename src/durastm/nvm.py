@@ -10,18 +10,35 @@ All containers are immutable tuple-backed values, so machine states built
 from them hash and compare structurally, in C.  Every value the methods
 return comes from a private constructor that hands out one shared object
 per distinct value (hash-consing), so the states of a run share their
-memories and logs instead of holding equal copies.
+memories and logs instead of holding equal copies.  ``shared`` and
+``with_entry`` do the same for the tuples that the machines build their
+states from.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import NamedTuple
 
-# memory pairs and undo logs each constructor keeps shared: the 28-step
-# 2x2x2 sweep builds 78,998 pairs of 12 values (78,986 hits, 12 misses) and
-# 2,411 logs of 6 (2,405 hits, 6 misses); three addresses and three values
-# allow 3 ** 6 = 729 pairs
-PART_MEMO_SIZE = 1024
+# entries of each memo that shares state parts; both machines draw on
+# ``shared`` and ``with_entry``.  The 28-step 2x2x2 sweep with all four
+# checks takes 335,553 hits and 1,866 misses in ``with_entry``, 36,151 and
+# 638 in ``shared``, 78,986 and 12 in ``_pair`` and 2,405 and 6 in
+# ``_log``; the size holds the 7,565 distinct tuples of the whole 3x1x2
+# DTML graph
+PART_MEMO_SIZE = 8192
+
+
+@lru_cache(maxsize=PART_MEMO_SIZE)
+def shared(part: tuple) -> tuple:
+    """The one shared tuple equal to part.  No state field holds a bool,
+    so a key that compares equal is the same value."""
+    return part
+
+
+@lru_cache(maxsize=PART_MEMO_SIZE)
+def with_entry(fields: tuple, i: int, value) -> tuple:
+    """The shared tuple ``fields`` with entry i replaced by value."""
+    return shared(fields[:i] + (value,) + fields[i + 1:])
 
 
 class MemoryPair(NamedTuple):

@@ -18,7 +18,7 @@ from durastm import dtms2
 from durastm import explorer
 from durastm import histories as H
 from durastm import refinement
-from durastm.dtml import DtmlMachine
+from durastm.dtml import MUTATIONS, DtmlMachine
 from durastm.dtms2 import config_for_history, dtms2_accepts
 from durastm.explorer import (
     CheckReport,
@@ -150,7 +150,8 @@ def test_acceptor_memo_size_changes_no_verdict_and_bounds_its_caches(
     assert max(i.currsize for i in cache_infos(acceptors[-1])) <= 1
     cfg = replace(cfg, mutation="skip_undo_log")
     hist, states, viols, _ = run()
-    assert (hist, states, len(viols)) == (8065, 1443, 110)
+    # paths go on past simrel's violations under the other checks
+    assert (hist, states, len(viols)) == (9719, 2065, 110)
 
 
 # a run whose paths take many flush edges
@@ -227,6 +228,28 @@ def test_exhaustive_catches_skip_undo_log_by_its_history() -> None:
     bad_trace = next(v for v in rep.violations if v.check == "refinement")
     assert not dtms2_accepts(bad_trace.history,
                              config_for_history(bad_trace.history)).ok
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("explore", [explore_exhaustive, explore_random])
+def test_simrel_only_adds_violations(explore, mutation: str) -> None:
+    # a path goes on past a simrel violation under the other checks, so
+    # simrel can hide none of their violations, as it did when it ended
+    # the path at a state where the fault had not shown in the history yet
+    steps = 30 if explore is explore_exhaustive else 60
+    cfg = ExplorationConfig(domain=H.Domain(2, 1, 2), max_steps=steps,
+                            mutation=mutation, checks=("opacity",
+                                                       "refinement",
+                                                       "invariants"),
+                            seed=5, num_walks=300, min_crashes=1,
+                            continue_prob=0.85, crash_prob=0.02)
+    without = explore(cfg)
+    both = explore(replace(cfg, checks=cfg.checks + ("simrel",)))
+    assert any(v.check == "simrel" for v in both.violations)
+    assert [v for v in both.violations if v.check != "simrel"] \
+        == without.violations
+    assert ((both.histories_explored, both.states_visited)
+            == (without.histories_explored, without.states_visited))
 
 
 def test_mutant_log_clear_breaks_quiet_log_invariant() -> None:
