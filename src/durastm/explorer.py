@@ -18,8 +18,13 @@ the forward-simulation candidate set in lockstep with the search, so paths
 cut by deduplication have still had their whole prefix checked.  A
 background flush changes nothing but the persistent store, which only the
 store-diff invariant reads, so a flush edge keeps the verdicts of its
-source.  A path
-ends at its first violation; the recorded counterexample is that prefix.
+source.  A flush of an address whose two stores already agree returns to
+the state it left, which the cut ends at once, so the exhaustive search
+ends that path unstepped.  The other invariants read the state alone and
+are checked where a state is first reached; at a state reached before,
+only the store diff is.  Neither rule changes a count or a verdict.  A
+path ends at its first violation; the recorded counterexample is that
+prefix.
 A ``simrel`` violation is the one exception when other checks run: the
 path goes on under those checks alone, so that adding ``simrel`` to a run
 only adds violations and changes none of the others, nor the paths and
@@ -270,11 +275,21 @@ def _invariant_violation(s: DtmlState, dirty: frozenset) -> str | None:
         return "invariant.singleWriter"
     if s.syst_pc == "RecIdle" and (s.glb % 2 == 1) != (s.writer is not None):
         return "invariant.glbParity"
-    for addr, (v, p) in enumerate(zip(s.mem.vstore, s.mem.pstore)):
-        if v != p and addr not in dirty:
-            return "invariant.flushDiff"
+    if (diff := _flush_diff(s, dirty)) is not None:
+        return diff
     if s.syst_pc == "RecIdle" and s.writer is None and not s.log.is_empty():
         return "invariant.logQuiet"
+    return None
+
+
+def _flush_diff(s: DtmlState, dirty: frozenset) -> str | None:
+    """The one invariant that reads the path as well as the state: the
+    stores differ only at addresses in ``dirty``."""
+    vstore, pstore = s.mem
+    if vstore != pstore:
+        for addr, (v, p) in enumerate(zip(vstore, pstore)):
+            if v != p and addr not in dirty:
+                return "invariant.flushDiff"
     return None
 
 
@@ -329,10 +344,16 @@ class _Pipeline:
     refinement and paths carry no trace frame (``replay``).  Past a
     ``simrel`` violation a path goes on under the other checks when any
     runs (``beyond_simrel``), carrying the trace frame instead.
+
+    ``reached`` is the driver's container of reached states.  It may hold
+    only the initial state and targets of edges that passed
+    ``check_edge``, so each of them satisfies the invariants that read the
+    state alone.
     """
 
-    def __init__(self, cfg: ExplorationConfig) -> None:
+    def __init__(self, cfg: ExplorationConfig, reached=()) -> None:
         self.cfg = cfg
+        self.reached = reached
         checks = self.checks = cfg.check_set
         self.machine = DtmlMachine(cfg.domain, mutation=cfg.mutation)
         self.acceptor = None
@@ -405,6 +426,8 @@ class _Pipeline:
         persistent store, which the flush can only make hold: so the flush
         edge keeps its source's frames, well-formedness status and
         invariant verdict, and only the flush budget and ``dirty`` change.
+        At a target in ``reached`` only ``invariant.flushDiff``, which
+        reads ``dirty``, can fail, so it alone is checked there.
         """
         if a.kind == "flush":
             return path._replace(
@@ -413,7 +436,8 @@ class _Pipeline:
         report = self.report
         dirty = _update_dirty(path.dirty, s, a, self.cfg.mutation)
         if "invariants" in self.checks:
-            inv = _invariant_violation(s2, dirty)
+            inv = (_flush_diff(s2, dirty) if s2 in self.reached
+                   else _invariant_violation(s2, dirty))
             if inv is not None:
                 report.violations.append(Violation(
                     inv, tuple(events), {"after_action": str(a)}))
@@ -503,13 +527,13 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
     every named check has at least one recorded violation.
     """
     cfg.validate(_MACHINE_CHECKS, exhaustive=True)
-    pipe = _Pipeline(cfg)
+    # state -> the most remaining depth it was expanded with
+    visited: dict = {}
+    pipe = _Pipeline(cfg, reached=visited)
     machine = pipe.machine
     report = pipe.report
     stop = _stop_rule(stop_on, report)
     report.config["dedup"] = "state"
-    # state -> the most remaining depth it was expanded with
-    visited: dict = {}
     events: list[H.Event] = []
     start = time.perf_counter()
     stopped = False
@@ -520,24 +544,25 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
             on_history(tuple(events))
 
     def dfs(s: DtmlState, depth: int, path: _Path) -> None:
+        """Expand ``s``, which the dominance rule does not cut: it was not
+        yet expanded with at least as much remaining depth.  A revisit with
+        more steps left can reach continuations the first visit could not."""
         nonlocal stopped
-        if stopped:
-            return
-        # dominance rule: cut only when this state was already expanded
-        # with at least as much remaining depth — a revisit with more
-        # steps left can reach continuations the first visit could not
-        remaining = cfg.max_steps - depth
-        if visited.get(s, -1) >= remaining:
-            finish_path()
-            return
-        visited[s] = remaining
-        if depth >= cfg.max_steps:
+        remaining = visited[s] = cfg.max_steps - depth
+        if remaining <= 0:
             finish_path()
             return
         acts = pipe.allowed(s, path)
+        vstore, pstore = s.mem
         for a in acts:
             if stopped:
                 break
+            if a.kind == "flush" and vstore[a.addr] == pstore[a.addr]:
+                # the flush returns to s, expanded here with more depth
+                # left, so the cut would end the path there; it emits no
+                # event and breaks no check
+                finish_path()
+                continue
             s2, ev = machine.step(s, a)
             if ev is not None:
                 events.append(ev)
@@ -545,7 +570,8 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
             path2 = pipe.check_edge(a, s, s2, ev, events, path)
             if len(report.violations) > found and stop():
                 stopped = True
-            if path2 is None or stopped:
+            if (path2 is None or stopped
+                    or visited.get(s2, -1) >= remaining - 1):
                 finish_path()
             else:
                 dfs(s2, depth + 1, path2)
@@ -614,12 +640,12 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
     ``min_crashes`` forces that many crashes into every walk.
     """
     cfg.validate(_MACHINE_CHECKS)
-    pipe = _Pipeline(cfg)
+    seen: set[DtmlState] = set()
+    pipe = _Pipeline(cfg, reached=seen)
     machine = pipe.machine
     report = pipe.report
     stop = _stop_rule(stop_on, report)
     rng = random.Random(cfg.seed)
-    seen: set[DtmlState] = set()
     start = time.perf_counter()
 
     for _ in range(cfg.num_walks):

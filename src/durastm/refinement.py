@@ -18,8 +18,8 @@ one state relation R.  Its global clauses are:
 Its per-transaction clauses relate each transaction's program counter,
 pending-operation payloads, read-set validity at the current snapshot and
 writer/write-set parity, and collapse the snapshots during recovery.
-``global_rel_for`` evaluates the concrete side of the global clauses once
-per step, and ``sim_filter`` keeps the candidates that satisfy both kinds.
+``sim_filter`` evaluates the concrete side of the global clauses once per
+step and keeps the candidates that satisfy both kinds.
 An empty candidate set after a step is a failure.
 
 A writer that has passed the log-clear line is treated as already
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .dtml import NOT_LIVE_PCS, DtmlAction, DtmlMachine, DtmlState
 from .dtms2 import Acceptor, Dtms2Machine, Dtms2State
@@ -91,37 +92,41 @@ def write_count(cs: DtmlState) -> int:
     return logical_glb(cs) // 2
 
 
+def _concrete_side(cs: DtmlState) -> tuple:
+    """What the global clauses read of the concrete state alone: volatile
+    memory, whether recovery runs, the live writer, the snapshot count,
+    the memory the undo log restores and the program counters.  Computed
+    once per state, so that filtering many candidates against one concrete
+    state costs only the comparisons with each candidate."""
+    vstore, log = cs.mem.vstore, cs.log.items()
+    return (vstore, cs.syst_pc != "RecIdle", _live_writer(cs),
+            write_count(cs) + 1, _apply(vstore, log) if log else vstore,
+            cs.pc)
+
+
+def _global_clause(side: tuple, as_: Dtms2State) -> str | None:
+    """First violated global clause between the concrete ``side`` and an
+    automaton state, or None."""
+    vstore, recovering, w, snapshots, restored, pcs = side
+    last = as_.mems[-1]
+    if not recovering:
+        if vstore != (last if w is None
+                      else _apply(last, as_.wr_set[w - 1])):
+            return "globalRel.1"
+        if len(as_.mems) != snapshots:
+            return "globalRel.2"
+    if restored != last:
+        return "globalRel.3"
+    for pc, abstract in zip(pcs, as_.pc):
+        if pc == "NotStarted" and abstract != "notStarted":
+            return "globalRel.4"
+    return None
+
+
 def global_rel_for(cs: DtmlState) -> Callable[[Dtms2State], str | None]:
     """The global state relation with its concrete side fixed: a function
-    from an automaton state to its first violated clause, or None.
-
-    Everything that depends on the concrete state alone is computed here,
-    once, so that filtering many candidates against one concrete state
-    costs only the comparisons with each candidate.
-    """
-    vstore = cs.mem.vstore
-    recovering = cs.syst_pc != "RecIdle"
-    w = _live_writer(cs)
-    snapshots = write_count(cs) + 1
-    restored = vstore if cs.log.is_empty() else _apply(vstore, cs.log.items())
-    not_started = [i for i, pc in enumerate(cs.pc) if pc == "NotStarted"]
-
-    def clause(as_: Dtms2State) -> str | None:
-        last = as_.mems[-1]
-        if not recovering:
-            if vstore != (last if w is None
-                          else _apply(last, as_.wr_set[w - 1])):
-                return "globalRel.1"
-            if len(as_.mems) != snapshots:
-                return "globalRel.2"
-        if restored != last:
-            return "globalRel.3"
-        for i in not_started:
-            if as_.pc[i] != "notStarted":
-                return "globalRel.4"
-        return None
-
-    return clause
+    from an automaton state to its first violated clause, or None."""
+    return partial(_global_clause, _concrete_side(cs))
 
 
 def txn_rel_clause(cs: DtmlState, as_: Dtms2State, t: int) -> str | None:
@@ -179,25 +184,32 @@ def sim_filter(images: frozenset, cs2: DtmlState,
     Returns the candidates that satisfy it (``images`` itself when it
     prunes none, so that the frame keeps its cached hash) and, when none
     does, each image's first violated clause, global clauses first.  The
-    result is immutable, so that a memo may hand it out again.
+    result is immutable, so that a memo may hand it out again.  The
+    cheapest clause, each transaction's abstract program counter, drops
+    candidates before the others run; the kept set does not depend on the
+    order in which its clauses are tested.
     """
-    global_rel = global_rel_for(cs2)
-    txns = range(1, len(cs2.pc) + 1)
-    kept, broken = [], set()
+    side = _concrete_side(cs2)
+    pcs = tuple([_PC_TABLE[pc] for pc in cs2.pc])
+    txns = range(1, len(pcs) + 1)
+    kept = []
     for a2 in images:
-        clause = global_rel(a2)
+        if a2.pc != pcs or _global_clause(side, a2) is not None:
+            continue
         for t in txns:
-            if clause is not None:
+            if txn_rel_clause(cs2, a2, t) is not None:
                 break
-            clause = txn_rel_clause(cs2, a2, t)
-        if clause is None:
-            kept.append(a2)
         else:
-            broken.add(clause)
-    if not kept:
-        return frozenset(), (tuple(sorted(broken)) if images
-                             else ("no matching automaton action",))
-    return (images if len(kept) == len(images) else frozenset(kept)), ()
+            kept.append(a2)
+    if kept:
+        return (images if len(kept) == len(images) else frozenset(kept)), ()
+    if not images:
+        return frozenset(), ("no matching automaton action",)
+    # every image breaks some clause: name the first of each
+    return frozenset(), tuple(sorted({
+        _global_clause(side, a2)
+        or next(filter(None, (txn_rel_clause(cs2, a2, t) for t in txns)))
+        for a2 in images}))
 
 
 def sim_step(acceptor: Acceptor, aset: frozenset, ca: DtmlAction,

@@ -154,9 +154,10 @@ def test_acceptor_memo_size_changes_no_verdict_and_bounds_its_caches(
     assert (hist, states, len(viols)) == (9719, 2065, 110)
 
 
-# a run whose paths take many flush edges
+# a run whose paths take many flush edges that change the state: a flush
+# that changes nothing ends at the dedup cut without reaching check_edge
 FLUSH_RUN = ExplorationConfig(
-    domain=H.Domain(2, 1, 2), max_crashes=1, flush_budget=1, max_steps=20,
+    domain=H.Domain(2, 2, 2), max_crashes=1, flush_budget=1, max_steps=28,
     checks=("refinement", "simrel", "invariants"))
 
 
@@ -180,6 +181,117 @@ def test_flush_edges_carry_what_the_full_checks_give(monkeypatch) -> None:
         assert (hard, sim) == ((), out.sim)
         assert explorer._invariant_violation(s2, out.dirty) is None
         assert (out.trace, out.wf) == (path.trace, path.wf)
+
+
+def _reference_sweep(cfg: ExplorationConfig, on_history) -> CheckReport:
+    """The exhaustive search with the same dominance rule, stepping and
+    checking every allowed action, flushes that change nothing included,
+    testing the cut where a state is entered and every invariant at every
+    target."""
+    pipe = explorer._Pipeline(cfg)
+    visited: dict = {}
+    events: list[H.Event] = []
+
+    def finish() -> None:
+        pipe.report.histories_explored += 1
+        on_history(tuple(events))
+
+    def dfs(s, depth, path) -> None:
+        remaining = cfg.max_steps - depth
+        if visited.get(s, -1) >= remaining:
+            return finish()
+        visited[s] = remaining
+        acts = pipe.allowed(s, path) if remaining > 0 else []
+        for a in acts:
+            s2, ev = pipe.machine.step(s, a)
+            if ev is not None:
+                events.append(ev)
+            path2 = pipe.check_edge(a, s, s2, ev, events, path)
+            if path2 is None:
+                finish()
+            else:
+                dfs(s2, depth + 1, path2)
+            if ev is not None:
+                events.pop()
+        if not acts:
+            finish()
+
+    s0 = pipe.machine.initial()
+    dfs(s0, 0, pipe.start(s0))
+    pipe.report.states_visited = len(visited)
+    return pipe.report
+
+
+@pytest.mark.parametrize("checks", [(), ("opacity", "refinement", "simrel",
+                                         "invariants")], ids=["none", "all"])
+@pytest.mark.parametrize("mutation", [None, "skip_flush_W7",
+                                      "skip_log_clear_E2"])
+@pytest.mark.parametrize("domain, steps", [((2, 1, 2), 20), ((2, 2, 2), 16)])
+def test_sweep_gives_what_stepping_every_action_gives(domain, steps,
+                                                      mutation, checks):
+    # a flush that changes nothing ends at the cut unstepped, the cut is
+    # tested before recursing, and a reached state is checked for the
+    # path-dependent invariant alone: none of it may change a history,
+    # its order, a state count or a violation (with all checks on (2,1,2),
+    # both mutants break some, skip_log_clear_E2 an invariant among them)
+    cfg = ExplorationConfig(domain=H.Domain(*domain), max_crashes=1,
+                            flush_budget=1, max_steps=steps,
+                            mutation=mutation, checks=checks)
+    got: list[H.History] = []
+    want: list[H.History] = []
+    rep = explore_exhaustive(cfg, on_history=got.append)
+    ref = _reference_sweep(cfg, want.append)
+    assert got == want and len(got) > 1000
+    assert (rep.histories_explored, rep.states_visited, rep.violations) \
+        == (ref.histories_explored, ref.states_visited, ref.violations)
+
+
+def test_a_reached_state_is_checked_for_unflushed_addresses(
+        monkeypatch) -> None:
+    # a fault in the path's bookkeeping: a flush forgets every unflushed
+    # address, so an edge can reach a state seen before while its stores
+    # differ outside dirty, and the store-diff invariant must still fail
+    update = explorer._update_dirty
+
+    def forgetful(dirty, s, a, mutation):
+        if a.kind == "flush":
+            return frozenset()
+        return update(dirty, s, a, mutation)
+
+    monkeypatch.setattr(explorer, "_update_dirty", forgetful)
+    cfg = ExplorationConfig(domain=H.Domain(2, 2, 2), max_crashes=1,
+                            flush_budget=1, max_steps=20,
+                            mutation="skip_flush_W7", checks=("invariants",))
+    got: list[H.History] = []
+    want: list[H.History] = []
+    rep = explore_exhaustive(cfg, on_history=got.append)
+    ref = _reference_sweep(cfg, want.append)
+    assert got == want
+    assert rep.violations == ref.violations
+    assert {v.check for v in rep.violations} == {"invariant.flushDiff"}
+
+
+def test_sweep_steps_and_checks_each_edge_once(monkeypatch) -> None:
+    # the 28-step 2x2x2 sweep: flushes that change nothing are not
+    # stepped, and every edge that is stepped passes check_edge
+    calls = {"step": 0, "check_edge": 0}
+    step, check_edge = DtmlMachine.step, explorer._Pipeline.check_edge
+
+    def counting_step(self, s, a):
+        calls["step"] += 1
+        return step(self, s, a)
+
+    def counting_edge(pipe, *edge):
+        calls["check_edge"] += 1
+        return check_edge(pipe, *edge)
+
+    monkeypatch.setattr(DtmlMachine, "step", counting_step)
+    monkeypatch.setattr(explorer._Pipeline, "check_edge", counting_edge)
+    cfg = ExplorationConfig(domain=H.Domain(2, 2, 2), max_crashes=1,
+                            flush_budget=1, max_steps=28, checks=())
+    rep = explore_exhaustive(cfg)
+    assert (rep.histories_explored, rep.states_visited) == (106475, 12647)
+    assert calls == {"step": 82449, "check_edge": 82449}
 
 
 # minimal action depth at which each injected bug reaches an observable
