@@ -365,6 +365,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, TooLargeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; use a smaller domain or bound",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -222,7 +222,8 @@ class Dtms2Machine:
     The action tables are built once, from the domain: for each transaction
     the actions enabled at each control point, the internal ones among
     them, the external one that emits each event there with each current
-    value, and its reads and read-only commits for each snapshot index.
+    value, and, at its first read or commit, its reads and read-only
+    commits for each snapshot index.
     ``enabled`` and ``internal`` put their lists together from the tables
     and ``step`` checks its action against the same tables, so enabledness
     has one definition.  Only readPending and commitPending look at the
@@ -237,14 +238,11 @@ class Dtms2Machine:
         self._txn_internal, self._txn_acts, self._txn_emitters = zip(
             *(_txn_tables(t, addrs, vals) for t in self._txn_ids))
         self._aborts = tuple(mact("abortResp", t) for t in self._txn_ids)
-        # every transaction appends at most one snapshot, and a crash
-        # truncates them to one, so indices stay below num_txns + 1
-        idxs = range(domain.num_txns + 1)
-        self._reads = tuple(tuple(mact("doRead", t, idx=n) for n in idxs)
-                            for t in self._txn_ids)
-        self._ro_commits = tuple(
-            tuple(mact("doCommitRO", t, idx=n) for n in idxs)
-            for t in self._txn_ids)
+        # each transaction's reads and read-only commits by snapshot index,
+        # a row built at its first use (see _row), so that building the
+        # machine stays linear in num_txns
+        self._reads = [None] * domain.num_txns
+        self._ro_commits = [None] * domain.num_txns
         self._tail = (mact("crash"),) if durable else ()
 
     def initial(self) -> Dtms2State:
@@ -284,13 +282,25 @@ class Dtms2Machine:
         if pc == "readPending":
             if _get(s.wr_set[i], s.cur_addr[i]) is not None:
                 return table[pc]
-            return _valid(s, i, self._reads[i])
+            return _valid(s, i, self._reads[i]
+                          or self._row(self._reads, "doRead", i))
         if pc == "commitPending":
-            out = [] if s.wr_set[i] else _valid(s, i, self._ro_commits[i])
+            out = [] if s.wr_set[i] else _valid(
+                s, i, self._ro_commits[i]
+                or self._row(self._ro_commits, "doCommitRO", i))
             if _subset_of(s.rd_set[i], s.mems[-1]):
                 out += table[pc]
             return out
         return table[pc]
+
+    def _row(self, rows: list, kind: str, i: int) -> tuple:
+        """Build transaction i + 1's row of ``kind`` actions, one per
+        snapshot index, into ``rows``.  Every transaction appends at most
+        one snapshot, and a crash truncates them to one, so indices stay
+        below num_txns + 1."""
+        row = rows[i] = tuple(mact(kind, i + 1, idx=n)
+                              for n in range(self.domain.num_txns + 1))
+        return row
 
     # -- transition --------------------------------------------------------
 

@@ -1,11 +1,8 @@
 """Refinement checkers linking the implementation machine to the reference
 automaton.
 
-Forward simulation is checked along concrete executions: the checker steps
-the implementation machine and carries the set of reference-automaton
-states that could have produced the same events so far (a determinized
-candidate set, as in trace acceptance).  Candidates are pruned per step by
-one state relation R.  Its global clauses are:
+One state relation R relates implementation states to automaton states.
+Its global clauses are:
 
 1. outside recovery, volatile memory equals the latest committed snapshot
    with the active writer's write set applied;
@@ -19,8 +16,16 @@ Its per-transaction clauses relate each transaction's program counter,
 pending-operation payloads, read-set validity at the current snapshot and
 writer/write-set parity, and collapse the snapshots during recovery.
 ``sim_filter`` evaluates the concrete side of the global clauses once per
-step and keeps the candidates that satisfy both kinds.
-An empty candidate set after a step is a failure.
+step and keeps the candidates that satisfy both kinds.  ``sim_step``
+advances a set of candidate automaton states over one concrete step and
+prunes the images by R; the explorer carries such a set along each path,
+and an empty set after a step is a failure.
+
+``check_simulation`` checks that R is a forward simulation on every
+reachable related pair of a domain, on the breadth-first kernel of
+``durastm.reach``: each pair is stepped by every enabled action, and a
+step with no related successor is a dead edge, reported with a shortest
+schedule to it.
 
 A writer that has passed the log-clear line is treated as already
 committed: its writes no longer count as in-flight (``_live_writer``)
@@ -34,13 +39,15 @@ the number of snapshots forgotten at each crash.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
 from .dtml import NOT_LIVE_PCS, DtmlAction, DtmlMachine, DtmlState
 from .dtms2 import Acceptor, Dtms2Machine, Dtms2State
-from .histories import Domain, Event, History, event_to_json, ops
+from .histories import Domain, Event, History, ops
+from .reach import path, reach
 
 # abstract status corresponding to each concrete program counter under the
 # intended step synchronization (reads take effect at the memory fetch,
@@ -168,15 +175,6 @@ def txn_rel_clause(cs: DtmlState, as_: Dtms2State, t: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class SimWitness:
-    """A concrete state with the automaton states that can have matched
-    the events emitted so far."""
-
-    concrete: DtmlState
-    abstract_candidates: frozenset
-
-
 def sim_filter(images: frozenset, cs2: DtmlState,
                ) -> tuple[frozenset, tuple[str, ...]]:
     """Prune candidate automaton states by R at ``cs2``.
@@ -231,44 +229,59 @@ def sim_step(acceptor: Acceptor, aset: frozenset, ca: DtmlAction,
 
 
 @dataclass
-class ForwardSimReport:
-    ok: bool
-    steps_checked: int
-    hard_failure: dict | None = None
-    final_witness: SimWitness | None = None
+class SimulationReport:
+    """What ``check_simulation`` found.  ``edges`` counts the steps from a
+    related pair to a related pair, ``dead`` the steps from a related pair
+    that relate to no automaton state, by action kind.  For the first dead
+    edge: a shortest schedule to it, its action last, the snapshot of the
+    state that action reaches, and the clauses that ``sim_step`` names."""
+
+    pairs: int
+    states: int
+    edges: int
+    dead: Counter
+    schedule: tuple[DtmlAction, ...] = ()
+    state: dict | None = None
+    clauses: tuple[str, ...] = ()
 
 
-def check_forward_sim(domain: Domain, schedule,
-                      mutation: str | None = None) -> ForwardSimReport:
-    """Step the implementation along a schedule, asserting after every
-    step that some automaton candidate matches under R."""
-    cm = DtmlMachine(domain, mutation=mutation)
+def check_simulation(domain: Domain,
+                     mutation: str | None = None) -> SimulationReport:
+    """Check that R is a forward simulation on every reachable related
+    pair (implementation state, automaton state), stepping each pair by
+    every enabled action, with no bound on steps, crashes, flushes or
+    retries.  A step's successors are the images of the pair's automaton
+    state that ``sim_step`` keeps; a step with none is a dead edge."""
+    m = DtmlMachine(domain, mutation=mutation)
     acceptor = Acceptor(Dtms2Machine(domain))
-    cs = cm.initial()
-    aset, hard = sim_filter(acceptor.initial(), cs)
+    c0 = m.initial()
+    frame, hard = sim_filter(acceptor.initial(), c0)
     if hard:
         raise AssertionError("state relation must hold at the initial pair")
-    steps = 0
-    for k, ca in enumerate(schedule):
-        steps = k + 1
-        try:
-            cs2, ev = cm.step(cs, ca)
-        except ValueError as exc:
-            raise ValueError(f"schedule position {k}: {exc}") from exc
-        aset, hard = sim_step(acceptor, aset, ca, cs2, ev)
-        if hard:
-            return ForwardSimReport(
-                ok=False, steps_checked=k + 1,
-                hard_failure={
-                    "index": k,
-                    "action": str(ca),
-                    "event": None if ev is None else event_to_json(ev),
-                    "clauses": list(hard),
-                    "state": cm.snapshot(cs2),
-                })
-        cs = cs2
-    return ForwardSimReport(ok=True, steps_checked=steps,
-                            final_witness=SimWitness(cs, aset))
+    dead: Counter = Counter()
+    first = []
+
+    def successors(pair):
+        c, a = pair
+        for ca in m.enabled(c):
+            c2, ev = m.step(c, ca)
+            images, hard = sim_step(acceptor, frozenset({a}), ca, c2, ev)
+            if not images:
+                dead[ca.kind] += 1
+                if not first:
+                    first.append((pair, ca, c2, hard))
+            for a2 in images:
+                yield ca, (c2, a2)
+
+    parents, edges = reach([(c0, a) for a in frame], successors)
+    report = SimulationReport(len(parents), len({c for c, _ in parents}),
+                              edges, dead)
+    if first:
+        pair, ca, c2, hard = first[0]
+        report.schedule = (*path(parents, pair), ca)
+        report.state = m.snapshot(c2)
+        report.clauses = hard
+    return report
 
 
 # -- weak simulation: crash erasure ------------------------------------------

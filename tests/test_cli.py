@@ -15,9 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from durastm import cli
 from durastm import histories as H
 from durastm.cli import main, read_trace, write_trace
 from durastm.dtml import MUTATIONS, DtmlMachine, act
+from durastm.dtms2 import dtms2_accepts
+from durastm.opacity import durably_opaque
 
 
 def _committed_write_history() -> H.History:
@@ -42,6 +45,16 @@ def _dirty_read_history() -> H.History:
 def test_no_subcommand_is_usage_error(capsys) -> None:
     assert main([]) == 2
     assert "usage" in capsys.readouterr().err.lower()
+
+
+def test_out_of_memory_is_not_a_violation(monkeypatch, capsys) -> None:
+    # exit 1 means a violation was found; a run that ran out of memory
+    # found nothing
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "walk_reference", exhausted)
+    assert main(["walk-dtms2", "--walks", "1"]) == 2
+    assert "out of memory" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys) -> None:
@@ -170,6 +183,35 @@ def test_explore_names_the_action_where_simrel_broke(tmp_path,
     assert lines[6].startswith("simrel broke at action E2(t")
     assert lines[7].startswith("counterexample (simrel, ")
     assert main(["check-history", "--in", str(out)]) == 0
+
+
+# a schedule within A1's bounds (34 steps, 1 crash, no flush) whose
+# history the sweep's state quotient does not follow: t1 commits a write
+# of 1, the retained log undoes it at recovery, and t2 reads 0
+IN_BOUNDS_MISS = (
+    [act(k, 1) for k in ("invBegin", "B1", "B2", "resBegin")]
+    + [act("invWrite", 1, addr=0, val=1)]
+    + [act(f"W{k}", 1) for k in range(1, 8)]
+    + [act(k, 1) for k in ("resWrite", "invCommit", "E1", "E2", "E3",
+                           "resCommit")]
+    + [act("crash"), act("C1"), act("C2", addr=0, val=0), act("C3"),
+       act("C4"), act("C5"), act("C1"), act("C6")]
+    + [act(k, 2) for k in ("invBegin", "B1", "B2", "resBegin")]
+    + [act("invRead", 2, addr=0)]
+    + [act(k, 2) for k in ("R1", "R2", "resRead")])
+
+
+def test_in_bounds_miss_of_the_sweep_is_rejected_by_both_checkers(
+        tmp_path) -> None:
+    d = H.Domain(2, 1, 2)
+    h = DtmlMachine(d, mutation="skip_log_clear_E2").run(IN_BOUNDS_MISS)
+    assert len(IN_BOUNDS_MISS) == 34
+    assert len(h) == 11 and h[-1] == H.res_read(2, 0)
+    assert not durably_opaque(h, range(d.num_vals)).ok
+    assert not dtms2_accepts(h, d).ok
+    out = tmp_path / "miss.jsonl"
+    write_trace(h, str(out))
+    assert main(["check-history", "--in", str(out)]) == 1
 
 
 def test_invariants_check_counts_and_stops_on_each_invariant(capsys) -> None:

@@ -176,6 +176,16 @@ def test_non_durable_variant_has_no_crash() -> None:
         m.step(m.initial(), mact("crash"))
 
 
+def test_building_a_machine_is_linear_in_transactions() -> None:
+    # the reads and read-only commits by snapshot index, num_txns + 1 per
+    # transaction, wait for a transaction's first read or commit; what is
+    # left is at most the 12 actions of each transaction's tables on one
+    # address and one value, and the crash
+    before = mact.cache_info().currsize
+    Dtms2Machine(H.Domain(2000, 1, 1))
+    assert mact.cache_info().currsize - before <= 12 * 2000 + 1
+
+
 def test_step_rejects_disabled_action() -> None:
     m = Dtms2Machine(CFG)
     with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ tests, the demos or the benchmark mentions it.  Nor is any module-level
 ``lru_cache`` unbounded, the interning caches of actions aside; and every
 ``lru_cache`` in the source, per-instance memos too, takes its size from a
 named module constant.  Every function the benchmark's tracer wraps by name
-still exists."""
+still exists.  And there is one search loop: no ``while x:`` loop that pops
+from ``x`` outside ``durastm.reach``, the closure of dTMS2's internal steps
+aside."""
 from __future__ import annotations
 
 import ast
@@ -290,6 +292,73 @@ def test_cache_size_detector_sees_each_form() -> None:
         {"m": source}, frozenset({"m.act", "m.outer.cnt"})) == [
         "m.Memo.__init__:18", "m.also_unbounded:6", "m.default_size:8",
         "m.literal:10", "m.mact:25", "m.unbounded:4"]
+
+
+# the search kernel, and dTMS2's closure over internal steps, which every
+# workload runs and which a successor callback per state would slow down
+_WORKLIST_OK = frozenset({"reach.reach", "dtms2._closure"})
+
+
+def _worklist_loops(modules: dict[str, str],
+                    allowed: frozenset[str]) -> list[str]:
+    """Every ``while x:`` loop whose body pops from ``x``: a hand-rolled
+    search.  Loops are named module.owner:line."""
+    found = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.While)
+                    and isinstance(node.test, ast.Name)):
+                continue
+            pops = [sub for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr.startswith("pop")
+                    and isinstance(sub.func.value, ast.Name)
+                    and sub.func.value.id == node.test.id]
+            name = f"{module}.{_owner(node, parents)}"
+            if pops and name not in allowed:
+                found.append(f"{name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_one_search_loop() -> None:
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for folder in (PACKAGE, ROOT / "tests")
+               for path in sorted(folder.glob("*.py"))}
+    assert "reach" in modules and "test_transitions" in modules
+    # each exemption names a loop that is still there
+    assert {loop.split(":")[0] for loop in
+            _worklist_loops(modules, frozenset())} == _WORKLIST_OK
+    assert _worklist_loops(modules, _WORKLIST_OK) == []
+
+
+def test_worklist_loop_detector_sees_each_form() -> None:
+    source = ("def bfs(queue):\n"
+              "    while queue:\n"
+              "        key = queue.popleft()\n"
+              "def dfs(stack):\n"
+              "    while stack:\n"
+              "        for x in [stack.pop()]:\n"
+              "            pass\n"
+              "def countdown(n, q):\n"
+              "    while n:\n"
+              "        n -= 1\n"
+              "    while q is not None:\n"
+              "        q = q.pop()\n"
+              "    while True:\n"
+              "        q.pop()\n"
+              "class Walker:\n"
+              "    def walk(self, todo, other):\n"
+              "        while todo:\n"
+              "            other.pop()\n"
+              "            todo.pop(0)\n")
+    assert _worklist_loops({"m": source}, frozenset()) == [
+        "m.Walker.walk:17", "m.bfs:2", "m.dfs:5"]
+    assert _worklist_loops({"m": source}, frozenset({"m.bfs"})) == [
+        "m.Walker.walk:17", "m.dfs:5"]
 
 
 def _span_target(module: str, path: str):

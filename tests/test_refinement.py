@@ -3,10 +3,9 @@
 Three layers tie the implementation machine to the reference automaton:
 
 1. forward simulation, per (implementation state, automaton state) pair
-   over the whole reachable product, and along concrete executions,
-   carrying every abstract automaton state that matches the run so far,
-   pruned by the state relation; an emptied candidate set is a
-   counterexample;
+   over the whole reachable product (``check_simulation``): a step from a
+   related pair with no related successor is a dead edge, and the first
+   one comes with a shortest schedule that replays;
 2. weak simulation: every durable-automaton run, with crash steps erased,
    is mirrored as a run of the crash-free automaton;
 3. trace membership: emitted histories are accepted by the automaton.
@@ -14,7 +13,7 @@ Three layers tie the implementation machine to the reference automaton:
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 
@@ -32,7 +31,7 @@ from durastm.dtms2 import (
 from durastm.explorer import ExplorationConfig, explore_exhaustive
 from durastm.nvm import MemoryPair, UndoLog
 from durastm.refinement import (
-    check_forward_sim,
+    check_simulation,
     check_weak_sim,
     global_rel_for,
     logical_glb,
@@ -177,52 +176,35 @@ def test_txn_rel_recovery_requires_single_snapshot() -> None:
     assert txn_rel_clause(cs, one, 1) is None
 
 
-# forward simulation along executions ---------------------------------------------
+# forward simulation per pair -------------------------------------------------
 
-FULL_WRITER = [act("invBegin", 1), act("B1", 1), act("B2", 1), act("resBegin", 1),
-               act("invWrite", 1, addr=0, val=1)] + \
-    [act(k, 1) for k in ("W1", "W2", "W3", "W4", "W5", "W6", "W7")] + \
-    [act("resWrite", 1), act("invCommit", 1),
-     act("E1", 1), act("E2", 1), act("E3", 1), act("resCommit", 1)]
-
-
-def test_forward_sim_empty_execution() -> None:
-    rep = check_forward_sim(CFG, [])
-    assert rep.ok and rep.steps_checked == 0
-    assert rep.final_witness.abstract_candidates
+def test_relation_is_a_forward_simulation_per_pair() -> None:
+    # every related pair has a related successor for every action, with
+    # any number of crashes, flushes and begin retries
+    for dims, pins in (((2, 1, 2), (8825, 2688, 35712)),
+                       ((1, 2, 2), (1136, 345, 4752))):
+        rep = check_simulation(H.Domain(*dims))
+        assert (rep.pairs, rep.states, rep.edges) == pins
+        assert not rep.dead and rep.schedule == () and rep.state is None
 
 
-def test_forward_sim_full_writer_rebases_snapshots() -> None:
-    rep = check_forward_sim(CFG, FULL_WRITER)
-    assert rep.ok
-    assert rep.steps_checked == len(FULL_WRITER)
-    assert all(len(a.mems) == 2
-               for a in rep.final_witness.abstract_candidates)
-    # a one-shot iterator is counted as it is consumed
-    assert check_forward_sim(CFG, iter(FULL_WRITER)).steps_checked \
-        == len(FULL_WRITER)
-
-
-def test_forward_sim_through_crash_and_recovery() -> None:
-    schedule = FULL_WRITER + [act("crash"), act("C1"), act("C6")] + [
-        act("invBegin", 2), act("B1", 2), act("B2", 2), act("resBegin", 2),
-        act("invRead", 2, addr=0), act("R1", 2), act("R2", 2), act("resRead", 2),
-    ]
-    rep = check_forward_sim(CFG, schedule)
-    assert rep.ok
-
-
-def test_forward_sim_mid_write_crash_recovery() -> None:
-    schedule = [act("invBegin", 1), act("B1", 1), act("B2", 1), act("resBegin", 1),
-                act("invWrite", 1, addr=0, val=1)] + \
-        [act(k, 1) for k in ("W1", "W2", "W3", "W4", "W5", "W6", "W7")] + \
-        [act("crash"), act("C1"), act("C2", addr=0, val=0), act("C3"),
-         act("C4"), act("C5"), act("C1"), act("C6")]
-    rep = check_forward_sim(CFG, schedule)
-    assert rep.ok
+def _carry(domain: H.Domain, schedule, mutation: str | None = None):
+    """The implementation state, the automaton candidates and the broken
+    clauses after each step of a schedule, the candidates carried by
+    ``sim_step`` from the initial frame."""
+    m = DtmlMachine(domain, mutation=mutation)
+    acceptor = Acceptor(Dtms2Machine(domain))
+    c = m.initial()
+    frame, _ = refinement.sim_filter(acceptor.initial(), c)
+    for ca in schedule:
+        c, ev = m.step(c, ca)
+        frame, hard = refinement.sim_step(acceptor, frame, ca, c, ev)
+        yield c, frame, hard
 
 
 def test_forward_sim_random_walks_hold() -> None:
+    # walks on (2,2,2) with any number of crashes, which neither domain of
+    # the per-pair check covers
     m = DtmlMachine(CFG)
     rng = random.Random(313)
     for _ in range(150):
@@ -233,51 +215,42 @@ def test_forward_sim_random_walks_hold() -> None:
             a = rng.choice(options)
             s, _ = m.step(s, a)
             schedule.append(a)
-        rep = check_forward_sim(CFG, schedule)
-        assert rep.ok, rep.hard_failure
+        for _, frame, hard in _carry(CFG, schedule):
+            assert frame, (schedule, hard)
 
 
-def test_forward_sim_rejects_disabled_schedule() -> None:
-    with pytest.raises(ValueError, match="0"):
-        check_forward_sim(CFG, [act("E3", 1)])
+def _counterexample_replays(mutation: str | None, dead: int, kind: str,
+                            length: int) -> list[str]:
+    """Pin ``check_simulation``'s dead edges on (1,2,2) and the length of
+    its counterexample, and replay that: the schedule runs up to its last
+    action, which is of the failing kind, and the clauses and the state
+    are those ``sim_step`` and the machine give for that step.  Returns
+    the clauses."""
+    d = H.Domain(1, 2, 2)
+    rep = check_simulation(d, mutation)
+    assert rep.dead == Counter({kind: dead})
+    assert len(rep.schedule) == length and rep.schedule[-1].kind == kind
+    m = DtmlMachine(d, mutation=mutation)
+    m.run(rep.schedule[:-1])
+    *live, (c, frame, hard) = _carry(d, rep.schedule, mutation)
+    assert all(f for _, f, _ in live) and not frame
+    assert hard == rep.clauses and rep.state == m.snapshot(c)
+    return list(rep.clauses)
 
 
 def test_forward_sim_catches_unlogged_write() -> None:
-    cfg = H.Domain(1, 2, 2)
-    schedule = [act("invBegin", 1), act("B1", 1), act("B2", 1), act("resBegin", 1),
-                act("invWrite", 1, addr=0, val=1),
-                act("W1", 1), act("W2", 1), act("W3", 1), act("W4", 1),
-                act("W6", 1), act("W7", 1), act("resWrite", 1),
-                act("crash"), act("C1"), act("C6")]
-    rep = check_forward_sim(cfg, schedule, mutation="skip_undo_log")
-    assert not rep.ok
-    assert "globalRel.3" in rep.hard_failure["clauses"]
+    assert "globalRel.3" in _counterexample_replays("skip_undo_log",
+                                                    32, "W6", 10)
 
 
 def test_forward_sim_catches_missing_flush() -> None:
-    cfg = H.Domain(1, 2, 2)
-    schedule = [act("invBegin", 1), act("B1", 1), act("B2", 1), act("resBegin", 1),
-                act("invWrite", 1, addr=0, val=1)] + \
-        [act(k, 1) for k in ("W1", "W2", "W3", "W4", "W5", "W6", "W7")] + \
-        [act("resWrite", 1), act("invCommit", 1),
-         act("E1", 1), act("E2", 1), act("E3", 1), act("resCommit", 1),
-         act("crash")]
-    rep = check_forward_sim(cfg, schedule, mutation="skip_flush_W7")
-    assert not rep.ok
-    assert rep.hard_failure["action"] == "crash"
-    assert "globalRel.3" in rep.hard_failure["clauses"]
+    assert "globalRel.3" in _counterexample_replays("skip_flush_W7",
+                                                    140, "crash", 17)
 
 
 def test_forward_sim_catches_retained_log() -> None:
-    cfg = H.Domain(1, 2, 2)
-    schedule = [act("invBegin", 1), act("B1", 1), act("B2", 1), act("resBegin", 1),
-                act("invWrite", 1, addr=0, val=1)] + \
-        [act(k, 1) for k in ("W1", "W2", "W3", "W4", "W5", "W6", "W7")] + \
-        [act("resWrite", 1), act("invCommit", 1), act("E1", 1), act("E2", 1)]
-    rep = check_forward_sim(cfg, schedule, mutation="skip_log_clear_E2")
-    assert not rep.ok
-    assert "globalRel.3" in rep.hard_failure["clauses"]
-
+    assert "globalRel.3" in _counterexample_replays("skip_log_clear_E2",
+                                                    20, "E2", 16)
 
 
 # the per-transaction clauses are part of the relation ----------------------
@@ -299,50 +272,11 @@ def test_broken_pc_table_fails_the_simulation(monkeypatch) -> None:
     assert {v.check for v in broken.violations} == {"simrel"}
     assert {v.detail["action"] for v in broken.violations} \
         == {"W6(t1)", "W6(t2)"}
-    # each image's first broken clause: the image that took the write
-    # fails the table, the one that did not fails the global clause 1
-    rep = check_forward_sim(CFG, FULL_WRITER)
-    assert not rep.ok
-    assert (rep.hard_failure["action"], rep.hard_failure["clauses"]) == (
-        "W6(t1)", ["globalRel.1", "txnRel.pc(t=1)"])
-
-
-def _per_pair_simulation(domain: H.Domain, mutation: str | None = None):
-    """Breadth-first search of the (implementation state, automaton state)
-    pairs related by R, stepping each pair by every enabled action with no
-    budgets.  A step's successors are the images of the one automaton
-    state that ``sim_step`` keeps; a step with none is a dead edge.
-    Returns the numbers of related pairs, implementation states and edges,
-    and the dead edges by action kind."""
-    m = DtmlMachine(domain, mutation=mutation)
-    acceptor = Acceptor(Dtms2Machine(domain))
-    c0 = m.initial()
-    frame, hard = refinement.sim_filter(acceptor.initial(), c0)
-    assert frame and not hard
-    seen = {(c0, a) for a in frame}
-    queue = deque(seen)
-    edges, dead = 0, Counter()
-    while queue:
-        c, a = queue.popleft()
-        for ca in m.enabled(c):
-            c2, ev = m.step(c, ca)
-            edges += 1
-            images, _ = refinement.sim_step(acceptor, frozenset({a}), ca,
-                                            c2, ev)
-            if not images:
-                dead[ca.kind] += 1
-            for a2 in images:
-                if (c2, a2) not in seen:
-                    seen.add((c2, a2))
-                    queue.append((c2, a2))
-    return len(seen), len({c for c, _ in seen}), edges, dead
-
-
-def test_relation_is_a_forward_simulation_per_pair() -> None:
-    # every related pair has a related successor for every action, with
-    # any number of crashes, flushes and begin retries
-    assert _per_pair_simulation(H.Domain(2, 1, 2)) \
-        == (8825, 2688, 35712, Counter())
+    # each image's first broken clause on the shortest one, a write of 0:
+    # the image that took the write fails the table, the one that did not
+    # holds an empty write set at an odd counter snapshot
+    assert _counterexample_replays(None, 16, "W6", 11) == [
+        "txnRel.pc(t=1)", "txnRel.writeSetParity(t=1)"]
 
 
 # each fault and the (number, action kind) of its dead edges
@@ -360,9 +294,9 @@ def test_per_pair_simulation_names_each_fault(monkeypatch, fault) -> None:
     if fault == "pc_table_W7":
         monkeypatch.setitem(refinement._PC_TABLE, "W7", "writePending")
         mutation = None
-    *_, dead = _per_pair_simulation(H.Domain(2, 1, 2), mutation)
     count, kind = _DEAD_EDGES[fault]
-    assert dead == Counter({kind: count})
+    assert check_simulation(H.Domain(2, 1, 2), mutation).dead \
+        == Counter({kind: count})
 
 
 # weak simulation ---------------------------------------------------------------

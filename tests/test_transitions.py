@@ -1,11 +1,13 @@
 """One definition of enabledness for both machines, and their transition
 relations pinned edge for edge.
 
-Each test walks the whole reachable graph of a machine from ``initial()``.
-At every state it offers ``step`` every action of the domain's alphabet,
-plus one that names a transaction outside the domain, and requires that the
-step succeeds exactly for the actions that ``enabled`` lists, and that every
-refusal is a ``ValueError`` with the machine's refusal text.
+Each test walks the whole reachable graph of a machine from ``initial()``
+on the search kernel ``durastm.reach``, with its per-state checks in the
+successor function.  At every state ``walk_graph`` offers ``step`` every
+action of the domain's alphabet, plus one that names a transaction outside
+the domain, and requires that the step succeeds exactly for the actions
+that ``enabled`` lists, and that every refusal is a ``ValueError`` with the
+machine's refusal text.
 
 The walk also digests the graph: the number of states, the number of edges,
 and a sha256 over the sorted ``repr((tuple(s), a, tuple(s2), ev))`` of every
@@ -25,6 +27,7 @@ from durastm import histories as H
 from durastm.dtml import MUTATIONS, DtmlMachine, act
 from durastm.dtms2 import (Dtms2Machine, Dtms2State, _matching_actions,
                            _silent, mact)
+from durastm.reach import reach
 
 _DTML_LINES = ("B1", "B2", "R1", "R2", "W1", "W2", "W3", "W4", "W5", "W6",
                "W7", "E1", "E2", "E3")
@@ -79,12 +82,9 @@ def dtms2_refusal(m: Dtms2Machine, a) -> str:
 def walk_graph(m, alphabet, refusal) -> tuple[int, int, str]:
     """(states, edges, digest) of m's reachable graph, checking at every
     state that ``step`` takes exactly the actions ``enabled`` lists."""
-    init = m.initial()
-    seen = {init}
-    frontier = [init]
     edges = []
-    while frontier:
-        s = frontier.pop()
+
+    def successors(s):
         enabled = m.enabled(s)
         assert isinstance(enabled, list)
         assert len(set(enabled)) == len(enabled), s
@@ -99,13 +99,20 @@ def walk_graph(m, alphabet, refusal) -> tuple[int, int, str]:
             assert a in enabled, (s, a)
             stepped.add(a)
             edges.append(repr((tuple(s), a, tuple(s2), ev)))
-            if s2 not in seen:
-                seen.add(s2)
-                frontier.append(s2)
+            yield a, s2
         assert stepped == set(enabled), s
+
+    states, count = reach([m.initial()], successors)
+    assert count == len(edges)
     edges.sort()
     digest = hashlib.sha256("\n".join(edges).encode()).hexdigest()
-    return len(seen), len(edges), digest
+    return len(states), len(edges), digest
+
+
+def steps(m, s):
+    """Every (action, successor) of s, for ``reach``."""
+    for a in m.enabled(s):
+        yield a, m.step(s, a)[0]
 
 
 # (domain, mutation) -> (states, edges, sha256); skip_flush_W7 has 58,159
@@ -170,21 +177,17 @@ _DTMS2_INTERNAL = frozenset({"doRead", "doWrite", "doCommitRO", "doCommitW"})
 def test_dtms2_internal_lists_the_internal_actions_it_enables(
         dims, durable) -> None:
     m = Dtms2Machine(H.Domain(*dims), durable=durable)
-    seen = {m.initial()}
-    frontier = [m.initial()]
-    while frontier:
-        s = frontier.pop()
+
+    def successors(s):
         enabled = m.enabled(s)
         for i in range(len(s.pc)):
             assert list(m.internal(s, i)) == [
                 a for a in enabled
                 if a.kind in _DTMS2_INTERNAL and a.tx == i + 1], s
-        for a in enabled:
-            s2, _ = m.step(s, a)
-            if s2 not in seen:
-                seen.add(s2)
-                frontier.append(s2)
-    assert len(seen) == DTMS2_GRAPHS[dims, durable][0]
+        return steps(m, s)
+
+    states, _ = reach([m.initial()], successors)
+    assert len(states) == DTMS2_GRAPHS[dims, durable][0]
 
 
 @pytest.mark.parametrize("dims, durable", list(DTMS2_GRAPHS),
@@ -193,10 +196,8 @@ def test_dtms2_closure_steps_are_those_of_step(dims, durable) -> None:
     # _closure and _silent apply the actions internal lists without asking
     # step to check them again; each must reach what step reaches
     m = Dtms2Machine(H.Domain(*dims), durable=durable)
-    seen = {m.initial()}
-    frontier = [m.initial()]
-    while frontier:
-        s = frontier.pop()
+
+    def successors(s):
         for i in range(len(s.pc)):
             images = {s}
             for a in m.internal(s, i):
@@ -204,12 +205,10 @@ def test_dtms2_closure_steps_are_those_of_step(dims, durable) -> None:
                 assert ev is None and m._apply_txn(s, a, i) == (s2, ev), s
                 images.add(s2)
             assert _silent(m, frozenset({s}), i + 1) == images, s
-        for a in m.enabled(s):
-            s2, _ = m.step(s, a)
-            if s2 not in seen:
-                seen.add(s2)
-                frontier.append(s2)
-    assert len(seen) == DTMS2_GRAPHS[dims, durable][0]
+        return steps(m, s)
+
+    states, _ = reach([m.initial()], successors)
+    assert len(states) == DTMS2_GRAPHS[dims, durable][0]
 
 
 def dtms2_events(d: H.Domain) -> list:
@@ -240,20 +239,18 @@ def test_dtms2_matching_actions_are_the_enabled_ones_that_emit_the_event(
     d = H.Domain(*dims)
     m = Dtms2Machine(d, durable=durable)
     events = dtms2_events(d)
-    seen = {m.initial()}
-    frontier = [m.initial()]
-    while frontier:
-        s = frontier.pop()
+
+    def successors(s):
         emitters: dict = {}
         for a in m.enabled(s):
             s2, ev = m.step(s, a)
             emitters.setdefault(ev, []).append(a)
-            if s2 not in seen:
-                seen.add(s2)
-                frontier.append(s2)
+            yield a, s2
         for e in events:
             assert _matching_actions(m, s, e) == emitters.get(e, []), (s, e)
-    assert len(seen) == DTMS2_GRAPHS[dims, durable][0]
+
+    states, _ = reach([m.initial()], successors)
+    assert len(states) == DTMS2_GRAPHS[dims, durable][0]
 
 
 def _atoms(part):
@@ -272,18 +269,17 @@ def parts_shared(m, fields: tuple[str, ...]) -> dict:
     holds a bool, so that keys the part memos find equal are equal values.
     Returns the number of distinct values per field."""
     first: dict = {}  # (field, value) -> the first object seen
-    seen = {m.initial()}
-    frontier = [m.initial()]
-    while frontier:
-        s = frontier.pop()
-        for s2 in [s] + [m.step(s, a)[0] for a in m.enabled(s)]:
+
+    def successors(s):
+        out = list(steps(m, s))
+        for s2 in [s] + [s2 for _, s2 in out]:
             assert not any(isinstance(x, bool) for x in _atoms(s2)), s2
             for f in fields:
                 part = getattr(s2, f)
                 assert first.setdefault((f, part), part) is part, (f, part)
-            if s2 not in seen:
-                seen.add(s2)
-                frontier.append(s2)
+        return out
+
+    reach([m.initial()], successors)
     return Counter(f for f, _ in first)
 
 
