@@ -140,6 +140,14 @@ def _checks_arg(text: str) -> tuple[str, ...]:
     return checks
 
 
+def _walks_arg(walks: int) -> int:
+    """A ``--walks`` count; fewer than one is a usage error, as an empty
+    ``--checks`` is: no walk would pass whatever the machine did."""
+    if walks < 1:
+        raise ValueError("--walks must be at least 1")
+    return walks
+
+
 def _domain_from(args: argparse.Namespace) -> H.Domain:
     return H.Domain(args.txns, args.addrs, args.vals)
 
@@ -153,7 +161,7 @@ def _config_from(args: argparse.Namespace) -> ExplorationConfig:
         seed=getattr(args, "seed", 0),
         checks=_checks_arg(args.checks),
         mutation=args.mutation,
-        num_walks=getattr(args, "walks", 1000),
+        num_walks=_walks_arg(getattr(args, "walks", 1000)),
         min_crashes=getattr(args, "min_crashes", 0),
         continue_prob=getattr(args, "continue_prob", 0.0),
         crash_prob=getattr(args, "crash_prob", None),
@@ -178,7 +186,7 @@ def _cmd_walk_dtms2(args: argparse.Namespace) -> int:
         domain=_domain_from(args),
         max_crashes=args.max_crashes, max_steps=args.max_steps,
         seed=args.seed, checks=_checks_arg(args.checks),
-        num_walks=args.walks)
+        num_walks=_walks_arg(args.walks))
     report = walk_reference(cfg, stop_on=set(cfg.checks))
     return _finish_run(report, cfg.checks, args.out, args.report)
 
@@ -220,13 +228,14 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     wanted = ("opacity", "refinement")
     names = (args.mutation,) if args.mutation else MUTATIONS
     domain = _domain_from(args)
+    walks = _walks_arg(args.walks)
     escaped = []
     for name in names:
         cfg = ExplorationConfig(
             domain=domain, max_crashes=max(1, args.max_crashes),
             flush_budget=args.flush_budget, max_steps=args.max_steps,
             seed=args.seed, checks=wanted, mutation=name,
-            num_walks=args.walks, min_crashes=1, continue_prob=0.85,
+            num_walks=walks, min_crashes=1, continue_prob=0.85,
             crash_prob=0.02)
         report = explore_random(cfg, stop_on=set(wanted))
         found = {v.check for v in report.violations}

@@ -12,10 +12,10 @@ third driver walks the reference automaton directly for its own checks.
 processes, for results that must be compared between runs.
 
 Checks run prefix-incrementally: every emitted event advances the
-well-formedness status vector, the consistency oracle (at the events that
-``may_break_opacity``), the reference-automaton subset construction, and
-the forward-simulation candidate set in lockstep with the search, so paths
-cut by deduplication have still had their whole prefix checked.  A
+well-formedness status vector and the forward-simulation candidate set,
+and an event that ``may_break_opacity`` runs the consistency oracle and
+the reference automaton, in lockstep with the search, so paths cut by
+deduplication have still had their whole prefix checked.  A
 background flush changes nothing but the persistent store, which only the
 store-diff invariant reads, so a flush edge keeps the verdicts of its
 source.  A flush of an address whose two stores already agree returns to
@@ -30,17 +30,16 @@ path goes on under those checks alone, so that adding ``simrel`` to a run
 only adds violations and changes none of the others, nor the paths and
 states the run covers.
 
-A forward simulation implies trace inclusion, and the two frames show it:
-the simulation frame ``sim`` only ever takes images of the trace frame's
-own steps (a silent step adds internal successors, which the closure
-already holds; an event step is the trace step's match without the
-closure) and then prunes them.  So after every edge ``sim`` lies inside
-the internal closure of ``trace``, and after every event edge inside
-``trace`` itself, and a non-empty ``sim`` implies a non-empty ``trace``.
-When both checks run, a path therefore carries ``sim`` alone, and
-refinement is decided by replaying the history through the acceptor only
-at an event where ``sim`` empties or opacity fails; the verdicts are those
-of carrying both frames.
+Refinement is decided where it can fail.  If the reference automaton
+accepts a durably well-formed history h and h·e is durably well-formed,
+it rejects h·e only if ``may_break_opacity(e)``: invocations, begin and
+write responses, read and write aborts and the crash are always enabled
+after h, so only a successful read response or a commit response can be
+refused (``test_dtms2.test_only_the_events_that_may_break_opacity_are_rejected``).
+So a path carries no trace frame: the history is replayed through the
+run's one acceptor at those events, and not even there while the path's
+simulation frame stays non-empty, as a forward simulation implies trace
+inclusion.
 """
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import histories as H
@@ -295,7 +294,8 @@ def _flush_diff(s: DtmlState, dirty: frozenset) -> str | None:
 
 def _advance_trace(acceptor: Acceptor, aset: frozenset,
                    ev: H.Event) -> frozenset:
-    """One event of the reference automaton's subset construction."""
+    """One event of the reference automaton's subset construction.  The
+    package does not call it; ``bench/spans.py`` times it by name."""
     return acceptor.advance(aset, ev)
 
 
@@ -304,19 +304,15 @@ class _Path(NamedTuple):
 
     ``budgets`` is (crashes, flushes, retries): how many crashes and
     background flushes the path took, and per transaction how often a
-    begin re-read an odd (claimed) counter at B2.  ``trace`` and ``sim``
-    are the automaton candidate sets of the refinement and simrel checks
-    (None when the check is off, and ``sim`` also past a simrel
-    violation).  ``sim`` lies inside the internal closure of ``trace``
-    after every edge and inside ``trace`` after every event edge, so when
-    both checks run ``trace`` is None while ``sim`` is carried: a
-    non-empty ``sim`` already proves the trace accepted.
+    begin re-read an odd (claimed) counter at B2.  ``sim`` is the
+    automaton candidate set of the simrel check (None when the check is
+    off or past a simrel violation).  No frame stands for refinement:
+    its history is replayed where an event may break it.
     ``dirty`` holds the addresses written back but not yet flushed, and
     ``wf`` the well-formedness status vector of the path's events.
     """
 
     budgets: tuple[int, int, tuple[int, ...]]
-    trace: frozenset | None
     sim: frozenset | None
     dirty: frozenset
     wf: tuple
@@ -340,10 +336,10 @@ class _Pipeline:
     """Per-edge checking shared by exhaustive and random exploration; it
     collects the run's violations in ``report``.
 
-    When both automaton checks run, the simulation frame decides
-    refinement and paths carry no trace frame (``replay``).  Past a
-    ``simrel`` violation a path goes on under the other checks when any
-    runs (``beyond_simrel``), carrying the trace frame instead.
+    Refinement is decided by replaying the history through ``acceptor``
+    at an event that may break opacity, the only events the automaton can
+    reject (see the module docstring).  Past a ``simrel`` violation a path
+    goes on under the other checks when any runs (``beyond_simrel``).
 
     ``reached`` is the driver's container of reached states.  It may hold
     only the initial state and targets of edges that passed
@@ -359,7 +355,6 @@ class _Pipeline:
         self.acceptor = None
         if checks & {"refinement", "simrel"}:
             self.acceptor = Acceptor(Dtms2Machine(cfg.domain))
-        self.replay = {"refinement", "simrel"} <= checks
         self.beyond_simrel = bool(checks - {"simrel"})
         self.sim_filter = lru_cache(maxsize=SIM_MEMO_SIZE)(sim_filter)
         value_domain = range(cfg.domain.num_vals)
@@ -380,20 +375,16 @@ class _Pipeline:
         automaton's initial state: a flush edge carries its source's
         verdicts, and the first source is ``s0``."""
         n = self.cfg.domain.num_txns
-        acc, checks = self.acceptor, self.checks
-        trace = (acc.initial() if "refinement" in checks and not self.replay
-                 else None)
         sim = None
-        if "simrel" in checks:
-            sim, hard = self.sim_filter(acc.initial(), s0)
+        if "simrel" in self.checks:
+            sim, hard = self.sim_filter(self.acceptor.initial(), s0)
             if hard:
                 raise AssertionError(
                     "state relation must hold at the initial pair")
-        if ("invariants" in checks
+        if ("invariants" in self.checks
                 and _invariant_violation(s0, frozenset()) is not None):
             raise AssertionError("invariants must hold at the initial state")
-        return _Path((0, 0, (0,) * n), trace, sim, frozenset(),
-                     H.wf_start(n))
+        return _Path((0, 0, (0,) * n), sim, frozenset(), H.wf_start(n))
 
     def allowed(self, s: DtmlState, path: _Path) -> list[DtmlAction]:
         """The enabled actions of ``s``, in order, that ``path`` still has
@@ -413,21 +404,21 @@ class _Pipeline:
 
         Returns the path record after the step, or None when the step
         broke a check.  A failing event is reported under every check it
-        breaks, so one counterexample can carry several verdicts.  Where
-        the path carries no trace frame, refinement is decided by replaying
-        the history only at an event where opacity fails or ``sim``
-        empties: elsewhere a non-empty ``sim`` proves the trace accepted.
-        A ``simrel`` violation alone ends the path only when no other check
-        runs; otherwise the record goes on without ``sim``, and with the
-        trace frame of the history where refinement runs.
+        breaks, so one counterexample can carry several verdicts.
+        Refinement is decided only at an event that may break opacity, by
+        replaying the history, and not there either when ``sim`` is still
+        non-empty after the edge, which proves the history accepted; where
+        opacity fails the replay runs before ``sim`` would be stepped.  A
+        ``simrel`` violation alone ends the path only when no other check
+        runs; otherwise the record goes on without ``sim``.
 
         A background flush copies one address from the volatile to the
         persistent store, and only ``invariant.flushDiff`` reads the
         persistent store, which the flush can only make hold: so the flush
-        edge keeps its source's frames, well-formedness status and
-        invariant verdict, and only the flush budget and ``dirty`` change.
-        At a target in ``reached`` only ``invariant.flushDiff``, which
-        reads ``dirty``, can fail, so it alone is checked there.
+        edge keeps its source's simulation frame, well-formedness status
+        and invariant verdict, and only the flush budget and ``dirty``
+        change.  At a target in ``reached`` only ``invariant.flushDiff``,
+        which reads ``dirty``, can fail, so it alone is checked there.
         """
         if a.kind == "flush":
             return path._replace(
@@ -442,7 +433,8 @@ class _Pipeline:
                 report.violations.append(Violation(
                     inv, tuple(events), {"after_action": str(a)}))
                 return None
-        trace, sim, wf = path.trace, path.sim, path.wf
+        sim, wf = path.sim, path.wf
+        breaks = ev is not None and may_break_opacity(ev)
         if ev is not None:
             at = len(events) - 1
             wf = H.wf_step(wf, ev)
@@ -451,19 +443,15 @@ class _Pipeline:
                     "wellformed", tuple(events), {"at_event": at}))
                 return None
             viols: list[Violation] = []
-            if "opacity" in self.checks and may_break_opacity(ev):
+            if breaks and "opacity" in self.checks:
                 verdict = self.opacity(H.ops(events))
                 if not verdict.ok:
                     viols.append(Violation(
                         "opacity", tuple(events),
                         {"at_event": at, "reason": verdict.reason}))
-            if trace is not None:
-                trace = _advance_trace(self.acceptor, trace, ev)
-                if not trace:
-                    viols.append(self._rejected(events))
-            elif (viols and self.replay
-                  and not self.acceptor.accepts(tuple(events))):
-                viols.append(self._rejected(events))
+            if (breaks and (viols or sim is None)
+                    and (v := self._refuted(events)) is not None):
+                viols.append(v)
             if viols:
                 report.violations.extend(viols)
                 return None
@@ -471,9 +459,8 @@ class _Pipeline:
             sim, hard = sim_step(self.acceptor, sim, a, s2, ev,
                                  prune=self.sim_filter)
             if hard:
-                if (ev is not None and self.replay
-                        and not self.acceptor.accepts(tuple(events))):
-                    report.violations.append(self._rejected(events))
+                if breaks and (v := self._refuted(events)) is not None:
+                    report.violations.append(v)
                     return None
                 report.violations.append(Violation(
                     "simrel", tuple(events),
@@ -481,15 +468,15 @@ class _Pipeline:
                 if not self.beyond_simrel:
                     return None
                 sim = None
-                if self.replay:
-                    trace = reduce(self.acceptor.advance, events,
-                                   self.acceptor.initial())
-        return _Path(_spend(path.budgets, s, a), trace, sim, dirty, wf)
+        return _Path(_spend(path.budgets, s, a), sim, dirty, wf)
 
-    @staticmethod
-    def _rejected(events: list[H.Event]) -> Violation:
-        """The refinement violation of a history whose last event the
-        automaton cannot take."""
+    def _refuted(self, events: list[H.Event]) -> Violation | None:
+        """The refinement violation of ``events`` when refinement runs and
+        the automaton cannot take their last event, else None; the history
+        before that event must be one the automaton accepts."""
+        if ("refinement" not in self.checks
+                or self.acceptor.accepts(tuple(events))):
+            return None
         return Violation("refinement", tuple(events),
                          {"at_event": len(events) - 1,
                           "event": str(events[-1])})

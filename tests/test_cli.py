@@ -129,6 +129,21 @@ def test_empty_checks_list_is_refused(capsys, argv) -> None:
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--walks", "0"],
+    ["walk-dtms2", "--walks", "0"],
+    ["mutate", "--walks", "0"],
+    ["fuzz", "--walks", "-3"],
+])
+def test_no_walk_is_refused(capsys, argv) -> None:
+    # a run of no walk would print PASS, or under mutate report every
+    # fault escaped, whatever the machine did
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: --walks must be at least 1" in captured.err
+    assert "PASS" not in captured.out and "escaped" not in captured.out
+
+
 def test_explore_clean_run_exits_zero(capsys) -> None:
     rc = main(["explore", "--txns", "1", "--addrs", "1",
                "--max-steps", "14", "--checks",

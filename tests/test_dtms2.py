@@ -13,6 +13,8 @@ transitions are explored silently between the visible events.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -27,7 +29,7 @@ from durastm.dtms2 import (
     dtms2_random_walk,
     mact,
 )
-from durastm.opacity import durably_opaque
+from durastm.opacity import durably_opaque, may_break_opacity
 
 
 CFG = H.Domain(num_txns=2, num_addrs=2, num_vals=2)
@@ -306,6 +308,79 @@ def test_one_acceptor_judges_every_history_as_a_fresh_one(
         count += 1
     assert count == 4114
     assert verdicts == {True, False}
+
+
+# the events the automaton can reject ------------------------------------------
+#
+# An accepted history h, extended by an event e so that h·e is still durably
+# well-formed, is rejected only if may_break_opacity(e): every other event
+# is enabled in some state that produced h.  The explorer decides refinement
+# by that rule, replaying the history only at such events.
+
+RULE_DOMAIN = H.Domain(num_txns=2, num_addrs=1, num_vals=2)
+
+# t1 reads the 1 that t2 writes while t2's commit is pending, and then that
+# commit aborts: no snapshot ever held the 1, so the abort is rejected
+ABORTED_COMMIT_AFTER_READ = (
+    H.inv_begin(2), H.res_begin(2), H.inv_write(2, 0, 1), H.res_write(2),
+    H.inv_commit(2), H.inv_begin(1), H.res_begin(1), H.inv_read(1, 0),
+    H.res_read(1, 1), H.res_commit_abort(2),
+)
+
+
+@lru_cache(maxsize=None)
+def _first_rejections() -> tuple[int, Counter]:
+    """The number of durably well-formed histories over RULE_DOMAIN with at
+    most 10 events and 1 crash, and how often each event is the one at
+    which the automaton rejects a history whose prefix it accepts."""
+    acceptor = Acceptor(Dtms2Machine(RULE_DOMAIN))
+    # frames[k] is the frame of the current history's prefix of length k:
+    # enumeration yields every parent before its extensions, depth first
+    frames = [acceptor.initial()]
+    count, rejected = 0, Counter()
+    for h in H.enumerate_histories(2, 1, 2, max_events=10, max_crashes=1):
+        count += 1
+        if not h:
+            continue
+        parent = frames[len(h) - 1]
+        frame = acceptor.advance(parent, h[-1]) if parent else parent
+        if parent and not frame:
+            rejected[h[-1]] += 1
+        del frames[len(h):]
+        frames.append(frame)
+    return count, rejected
+
+
+def _assert_rule(may_break) -> None:
+    count, rejected = _first_rejections()
+    assert count == 552_570
+    missed = sorted(map(str, (e for e in rejected if not may_break(e))))
+    assert not missed, missed
+
+
+def test_only_the_events_that_may_break_opacity_are_rejected() -> None:
+    _assert_rule(may_break_opacity)
+    kinds = Counter()
+    for e, n in _first_rejections()[1].items():
+        kinds[e.ev, e.abort] += n
+    assert kinds == {("resRead", False): 18_032, ("resCommit", True): 112}
+
+
+def test_the_rule_test_catches_a_predicate_without_aborted_commits() -> None:
+    def without_aborted_commits(e: H.Event) -> bool:
+        return e.ev in ("resRead", "resCommit") and not e.abort
+
+    with pytest.raises(AssertionError, match="resCommit"):
+        _assert_rule(without_aborted_commits)
+
+
+def test_an_aborted_commit_can_be_rejected() -> None:
+    h = ABORTED_COMMIT_AFTER_READ
+    assert H.durably_well_formed(h) and len(h) == 10
+    assert dtms2_accepts(h[:-1], RULE_DOMAIN).ok
+    assert dtms2_accepts(h, RULE_DOMAIN).failed_at == 9
+    assert may_break_opacity(h[-1])
+    assert not durably_opaque(h, range(RULE_DOMAIN.num_vals)).ok
 
 
 # random walks ------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_flush_edges_carry_what_the_full_checks_give(monkeypatch) -> None:
         sim, hard = refinement.sim_step(acceptor, path.sim, a, s2, None)
         assert (hard, sim) == ((), out.sim)
         assert explorer._invariant_violation(s2, out.dirty) is None
-        assert (out.trace, out.wf) == (path.trace, path.wf)
+        assert out.wf == path.wf
 
 
 def _reference_sweep(cfg: ExplorationConfig, on_history) -> CheckReport:

@@ -1,22 +1,24 @@
-"""The simulation frame decides trace refinement.
+"""Refinement is decided where it can fail, and the simulation frame skips
+the rest.
 
-A forward simulation implies trace inclusion, and the explorer's two
-automaton frames show it edge by edge: ``sim`` only takes images of the
-trace frame's own steps and prunes them, so after every edge it lies inside
-the internal closure of ``trace``, and after every event edge inside
-``trace``.  When both checks run, a path carries ``sim`` alone and the
-pipeline replays the history through the acceptor only where ``sim``
-empties or opacity fails at an event; past a simrel violation the path
-carries the trace frame itself.
+The reference automaton rejects a one-event extension of a history it
+accepts only at an event that may break opacity (``test_dtms2``'s rule
+test), so the explorer's paths carry no trace frame: the pipeline replays
+the history through the acceptor at those events, and skips even that
+replay while the path's simulation frame ``sim`` stays non-empty.  That
+frame only takes images of the trace frame's own steps and prunes them, so
+after every edge it lies inside the internal closure of the trace frame,
+and after every event edge inside the trace frame itself.
 
 These runs compute the trace frame beside the pipeline on every edge and
 check the two inclusions, that the pipeline reports refinement exactly
 where the trace frame empties, and that each run's violations are those of
-the pipeline that carried both frames (pinned digests).  Besides the three
-injected bugs of the logging machine, a fault that answers every read with
-the other value breaks the trace at the read response itself, so the
-replay both rejects and accepts, after a failed opacity check and, in the
-runs without opacity, after an empty simulation frame.
+the pipeline that carried the trace frame (pinned digests), with and
+without the simulation frame.  Besides the three injected bugs of the
+logging machine, a fault that answers every read with the other value
+breaks the trace at the read response itself, so the replay both rejects
+and accepts, after a failed opacity check and, in the runs without
+opacity, after an empty simulation frame.
 """
 from __future__ import annotations
 
@@ -39,17 +41,24 @@ WALKS = ExplorationConfig(domain=H.Domain(2, 1, 2), max_crashes=1,
                           flush_budget=1, max_steps=60, checks=CHECKS,
                           seed=5, num_walks=3000, min_crashes=1,
                           continue_prob=0.85, crash_prob=0.02)
+NO_OPACITY = CHECKS[1:]
+TRACE_CHECKS = ("opacity", "refinement")
+REFINEMENT = ("refinement",)
+FAULTS = (None, "skip_undo_log", "skip_flush_W7", "skip_log_clear_E2",
+          "wrong_read")
 # (fault, checks): with opacity on, an event the automaton rejects fails
 # opacity too (the oracle and the automaton agree on every history), so
-# only a run without it has the simulation frame empty at a rejected event
-RUNS = [pytest.param(fault, CHECKS, id=str(fault))
-        for fault in (None, "skip_undo_log", "skip_flush_W7",
-                      "skip_log_clear_E2", "wrong_read")]
-RUNS.append(pytest.param("wrong_read", CHECKS[1:], id="wrong_read-no_opacity"))
+# only a run without it has the simulation frame empty at a rejected event;
+# the runs without simrel carry no frame at all and replay at every event
+# that may break opacity
+RUNS = [pytest.param(fault, CHECKS, id=str(fault)) for fault in FAULTS]
+RUNS.append(pytest.param("wrong_read", NO_OPACITY, id="wrong_read-no_opacity"))
+RUNS += [pytest.param(fault, checks, id=f"{fault}-{'+'.join(checks)}")
+         for checks in (TRACE_CHECKS, REFINEMENT) for fault in FAULTS]
 
 # (histories, states, violations, sha256 prefix of the sorted violations)
-# of each run, by mode, fault and whether opacity ran, as the pipeline that
-# carried both frames gave them; the wrong_read rows are re-pinned for the
+# of each run, by mode, fault and checks, as the pipeline that carried the
+# trace frame gave them; the wrong_read rows are re-pinned for the
 # relation whose per-transaction clauses prune the frame: its read-value
 # clause drops the images that read the other value from an older snapshot,
 # so more lying read responses end in simrel (and a walk that ends sooner
@@ -58,18 +67,38 @@ RUNS.append(pytest.param("wrong_read", CHECKS[1:], id="wrong_read-no_opacity"))
 # violations are then those of the same run without simrel
 # (test_explorer.test_simrel_only_adds_violations)
 _PINNED = {
-    ("sweep", None, True): (19256, 2281, 0, "e3b0c44298fc1c14"),
-    ("sweep", "skip_undo_log", True): (18798, 2060, 182, "b2110c02a47f84e6"),
-    ("sweep", "skip_flush_W7", True): (25048, 3599, 584, "7269882781185053"),
-    ("sweep", "skip_log_clear_E2", True): (16910, 1761, 313, "bb7d8687ac010929"),
-    ("sweep", "wrong_read", True): (12273, 2281, 621, "d19c66bdf2bf865e"),
-    ("sweep", "wrong_read", False): (12273, 2281, 324, "534ac8e43573ce0d"),
-    ("walks", None, True): (3000, 1686, 0, "e3b0c44298fc1c14"),
-    ("walks", "skip_undo_log", True): (3000, 1437, 1805, "377a7d8a7b591405"),
-    ("walks", "skip_flush_W7", True): (3000, 2040, 452, "2aea9364a14ef5eb"),
-    ("walks", "skip_log_clear_E2", True): (3000, 1165, 2311, "a8bb33d1d2eac9ca"),
-    ("walks", "wrong_read", True): (3000, 1570, 3358, "16957ced6a981020"),
-    ("walks", "wrong_read", False): (3000, 1570, 1685, "0135417b16f8ddda"),
+    ("sweep", None, CHECKS): (19256, 2281, 0, "e3b0c44298fc1c14"),
+    ("sweep", "skip_undo_log", CHECKS): (18798, 2060, 182, "b2110c02a47f84e6"),
+    ("sweep", "skip_flush_W7", CHECKS): (25048, 3599, 584, "7269882781185053"),
+    ("sweep", "skip_log_clear_E2", CHECKS): (16910, 1761, 313, "bb7d8687ac010929"),
+    ("sweep", "wrong_read", CHECKS): (12273, 2281, 621, "d19c66bdf2bf865e"),
+    ("sweep", "wrong_read", NO_OPACITY): (12273, 2281, 324, "534ac8e43573ce0d"),
+    ("walks", None, CHECKS): (3000, 1686, 0, "e3b0c44298fc1c14"),
+    ("walks", "skip_undo_log", CHECKS): (3000, 1437, 1805, "377a7d8a7b591405"),
+    ("walks", "skip_flush_W7", CHECKS): (3000, 2040, 452, "2aea9364a14ef5eb"),
+    ("walks", "skip_log_clear_E2", CHECKS): (3000, 1165, 2311, "a8bb33d1d2eac9ca"),
+    ("walks", "wrong_read", CHECKS): (3000, 1570, 3358, "16957ced6a981020"),
+    ("walks", "wrong_read", NO_OPACITY): (3000, 1570, 1685, "0135417b16f8ddda"),
+    ("sweep", None, TRACE_CHECKS): (19256, 2281, 0, "e3b0c44298fc1c14"),
+    ("sweep", "skip_undo_log", TRACE_CHECKS): (18798, 2060, 32, "9d97b8b699283029"),
+    ("sweep", "skip_flush_W7", TRACE_CHECKS): (25048, 3599, 0, "e3b0c44298fc1c14"),
+    ("sweep", "skip_log_clear_E2", TRACE_CHECKS): (19243, 2217, 0, "e3b0c44298fc1c14"),
+    ("sweep", "wrong_read", TRACE_CHECKS): (12273, 2281, 594, "3470b85f129146e8"),
+    ("sweep", None, REFINEMENT): (19256, 2281, 0, "e3b0c44298fc1c14"),
+    ("sweep", "skip_undo_log", REFINEMENT): (18798, 2060, 16, "db7a86bc4f5ef94a"),
+    ("sweep", "skip_flush_W7", REFINEMENT): (25048, 3599, 0, "e3b0c44298fc1c14"),
+    ("sweep", "skip_log_clear_E2", REFINEMENT): (19243, 2217, 0, "e3b0c44298fc1c14"),
+    ("sweep", "wrong_read", REFINEMENT): (12273, 2281, 297, "9dccf630e04f6085"),
+    ("walks", None, TRACE_CHECKS): (3000, 1686, 0, "e3b0c44298fc1c14"),
+    ("walks", "skip_undo_log", TRACE_CHECKS): (3000, 1437, 30, "2153262c80826b58"),
+    ("walks", "skip_flush_W7", TRACE_CHECKS): (3000, 2040, 56, "df094743b81368cf"),
+    ("walks", "skip_log_clear_E2", TRACE_CHECKS): (3000, 1475, 64, "d08efa30bab1f16a"),
+    ("walks", "wrong_read", TRACE_CHECKS): (3000, 1570, 3346, "5193b1c5d177e140"),
+    ("walks", None, REFINEMENT): (3000, 1686, 0, "e3b0c44298fc1c14"),
+    ("walks", "skip_undo_log", REFINEMENT): (3000, 1437, 15, "a290478e3bf2bdab"),
+    ("walks", "skip_flush_W7", REFINEMENT): (3000, 2040, 28, "92c1759ed8b15ab8"),
+    ("walks", "skip_log_clear_E2", REFINEMENT): (3000, 1475, 32, "ab7bd5c019b844d6"),
+    ("walks", "wrong_read", REFINEMENT): (3000, 1570, 1673, "19555eeaec4131fd"),
 }
 
 
@@ -131,10 +160,7 @@ def _guarded_run(monkeypatch, explore, cfg: ExplorationConfig, fault,
                 assert ("refinement" in new) == (not trace)
         if out is not None:
             edges[0] += 1
-            if out.sim is None:
-                # past a simrel violation the path carries the trace frame
-                assert out.trace == trace
-            else:
+            if out.sim is not None:
                 assert out.sim <= closure(trace)
                 if ev is not None:
                     assert out.sim <= trace
@@ -157,17 +183,17 @@ def test_sim_frame_lies_inside_the_trace_frame(monkeypatch, mode, fault,
     report, (edges, event_edges) = _guarded_run(monkeypatch, explore, cfg,
                                                 fault, checks)
     assert edges > 10_000 and event_edges > 1_000
-    key = mode, fault, "opacity" in checks
     assert (report.histories_explored, report.states_visited,
-            len(report.violations), _digest(report)) == _PINNED[key]
-    if fault == "wrong_read":
+            len(report.violations),
+            _digest(report)) == _PINNED[mode, fault, checks]
+    if fault == "wrong_read" and "simrel" in checks:
         # the replay both rejected a read response and accepted one that
         # the simulation frame could not match
         kinds = {v.check for v in report.violations}
         assert {"refinement", "simrel"} <= kinds
 
 
-def test_both_checks_carry_the_simulation_frame_alone() -> None:
-    cfg = ExplorationConfig(domain=H.Domain(1, 1, 2), checks=CHECKS)
-    assert explorer._Pipeline(cfg).start(
-        DtmlMachine(cfg.domain).initial()).trace is None
+def test_paths_carry_no_trace_frame() -> None:
+    # refinement replays the history where it can fail; only the
+    # simulation frame is carried
+    assert explorer._Path._fields == ("budgets", "sim", "dirty", "wf")
