@@ -140,12 +140,13 @@ def _checks_arg(text: str) -> tuple[str, ...]:
     return checks
 
 
-def _walks_arg(walks: int) -> int:
-    """A ``--walks`` count; fewer than one is a usage error, as an empty
-    ``--checks`` is: no walk would pass whatever the machine did."""
-    if walks < 1:
-        raise ValueError("--walks must be at least 1")
-    return walks
+def _at_least_one(flag: str, count: int) -> int:
+    """A ``--walks`` or ``--max-steps`` count; fewer than one is a usage
+    error, as an empty ``--checks`` is: no walk and no step would pass
+    whatever the machine did."""
+    if count < 1:
+        raise ValueError(f"{flag} must be at least 1")
+    return count
 
 
 def _domain_from(args: argparse.Namespace) -> H.Domain:
@@ -157,11 +158,11 @@ def _config_from(args: argparse.Namespace) -> ExplorationConfig:
         domain=_domain_from(args),
         max_crashes=args.max_crashes,
         flush_budget=args.flush_budget,
-        max_steps=args.max_steps,
+        max_steps=_at_least_one("--max-steps", args.max_steps),
         seed=getattr(args, "seed", 0),
         checks=_checks_arg(args.checks),
         mutation=args.mutation,
-        num_walks=_walks_arg(getattr(args, "walks", 1000)),
+        num_walks=_at_least_one("--walks", getattr(args, "walks", 1000)),
         min_crashes=getattr(args, "min_crashes", 0),
         continue_prob=getattr(args, "continue_prob", 0.0),
         crash_prob=getattr(args, "crash_prob", None),
@@ -184,9 +185,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_walk_dtms2(args: argparse.Namespace) -> int:
     cfg = ExplorationConfig(
         domain=_domain_from(args),
-        max_crashes=args.max_crashes, max_steps=args.max_steps,
+        max_crashes=args.max_crashes,
+        max_steps=_at_least_one("--max-steps", args.max_steps),
         seed=args.seed, checks=_checks_arg(args.checks),
-        num_walks=_walks_arg(args.walks))
+        num_walks=_at_least_one("--walks", args.walks))
     report = walk_reference(cfg, stop_on=set(cfg.checks))
     return _finish_run(report, cfg.checks, args.out, args.report)
 
@@ -228,12 +230,13 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     wanted = ("opacity", "refinement")
     names = (args.mutation,) if args.mutation else MUTATIONS
     domain = _domain_from(args)
-    walks = _walks_arg(args.walks)
+    steps = _at_least_one("--max-steps", args.max_steps)
+    walks = _at_least_one("--walks", args.walks)
     escaped = []
     for name in names:
         cfg = ExplorationConfig(
             domain=domain, max_crashes=max(1, args.max_crashes),
-            flush_budget=args.flush_budget, max_steps=args.max_steps,
+            flush_budget=args.flush_budget, max_steps=steps,
             seed=args.seed, checks=wanted, mutation=name,
             num_walks=walks, min_crashes=1, continue_prob=0.85,
             crash_prob=0.02)

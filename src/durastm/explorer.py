@@ -15,16 +15,18 @@ Checks run prefix-incrementally: every emitted event advances the
 well-formedness status vector and the forward-simulation candidate set,
 and an event that ``may_break_opacity`` runs the consistency oracle and
 the reference automaton, in lockstep with the search, so paths cut by
-deduplication have still had their whole prefix checked.  A
-background flush changes nothing but the persistent store, which only the
-store-diff invariant reads, so a flush edge keeps the verdicts of its
-source.  A flush of an address whose two stores already agree returns to
-the state it left, which the cut ends at once, so the exhaustive search
-ends that path unstepped.  The other invariants read the state alone and
-are checked where a state is first reached; at a state reached before,
-only the store diff is.  Neither rule changes a count or a verdict.  A
-path ends at its first violation; the recorded counterexample is that
-prefix.
+deduplication have still had their whole prefix checked.  The state
+invariants read the state alone: the stores may differ only at the
+addresses that ``_unflushed`` reads off the control points, where a line
+has written a value back and the next line flushes it.  So they are
+checked once per state, where it is first reached.  A background flush
+changes nothing but the persistent store, which only the store-diff
+invariant reads and which the flush can only make hold, so a flush edge
+keeps the verdicts of its source.  A flush of an address whose two stores
+already agree returns to the state it left, which the cut ends at once,
+so the exhaustive search ends that path unstepped.  Neither rule changes
+a count or a verdict.  A path ends at its first violation; the recorded
+counterexample is that prefix.
 A ``simrel`` violation is the one exception when other checks run: the
 path goes on under those checks alone, so that adding ``simrel`` to a run
 only adds violations and changes none of the others, nor the paths and
@@ -243,28 +245,16 @@ def canonical_hash(state: DtmlState) -> str:
 # -- prefix-incremental checking ----------------------------------------------
 
 
-def _update_dirty(dirty: frozenset, s: DtmlState, a: DtmlAction,
-                  mutation: str | None) -> frozenset:
-    """Track which addresses may legitimately differ between the volatile
-    and persistent stores (written back but not yet flushed)."""
-    k = a.kind
-    if k == "crash":
-        return frozenset()
-    if k == "flush":
-        return dirty - {a.addr}
-    if k == "W6":
-        return dirty | {s.in_addr[a.tx - 1]}
-    if k == "W7" and mutation != "skip_flush_W7":
-        return dirty - {s.in_addr[a.tx - 1]}
-    if k == "C3":
-        return dirty | {s.rec_addr}
-    if k == "C4":
-        return dirty - {s.rec_addr}
-    return dirty
+def _unflushed(s: DtmlState) -> tuple[int, ...]:
+    """The addresses where the volatile and persistent stores may differ:
+    each is written back by one line and flushed by the next, so they are
+    those of the writers at W7 and of recovery at C4."""
+    out = tuple(a for pc, a in zip(s.pc, s.in_addr) if pc == "W7")
+    return out + (s.rec_addr,) if s.syst_pc == "C4" else out
 
 
-def _invariant_violation(s: DtmlState, dirty: frozenset) -> str | None:
-    """State invariants checked at every visited state."""
+def _invariant_violation(s: DtmlState) -> str | None:
+    """The name of the first state invariant that ``s`` breaks, or None."""
     claimants = [t for t in range(1, len(s.pc) + 1)
                  if s.pc[t - 1] == "W3"
                  or (s.loc[t - 1] % 2 == 1
@@ -274,21 +264,14 @@ def _invariant_violation(s: DtmlState, dirty: frozenset) -> str | None:
         return "invariant.singleWriter"
     if s.syst_pc == "RecIdle" and (s.glb % 2 == 1) != (s.writer is not None):
         return "invariant.glbParity"
-    if (diff := _flush_diff(s, dirty)) is not None:
-        return diff
-    if s.syst_pc == "RecIdle" and s.writer is None and not s.log.is_empty():
-        return "invariant.logQuiet"
-    return None
-
-
-def _flush_diff(s: DtmlState, dirty: frozenset) -> str | None:
-    """The one invariant that reads the path as well as the state: the
-    stores differ only at addresses in ``dirty``."""
     vstore, pstore = s.mem
     if vstore != pstore:
-        for addr, (v, p) in enumerate(zip(vstore, pstore)):
-            if v != p and addr not in dirty:
-                return "invariant.flushDiff"
+        unflushed = _unflushed(s)
+        if any(v != p and addr not in unflushed
+               for addr, (v, p) in enumerate(zip(vstore, pstore))):
+            return "invariant.flushDiff"
+    if s.syst_pc == "RecIdle" and s.writer is None and not s.log.is_empty():
+        return "invariant.logQuiet"
     return None
 
 
@@ -307,14 +290,13 @@ class _Path(NamedTuple):
     begin re-read an odd (claimed) counter at B2.  ``sim`` is the
     automaton candidate set of the simrel check (None when the check is
     off or past a simrel violation).  No frame stands for refinement:
-    its history is replayed where an event may break it.
-    ``dirty`` holds the addresses written back but not yet flushed, and
-    ``wf`` the well-formedness status vector of the path's events.
+    its history is replayed where an event may break it, and none for the
+    invariants, which read the state alone.  ``wf`` is the
+    well-formedness status vector of the path's events.
     """
 
     budgets: tuple[int, int, tuple[int, ...]]
     sim: frozenset | None
-    dirty: frozenset
     wf: tuple
 
 
@@ -343,8 +325,8 @@ class _Pipeline:
 
     ``reached`` is the driver's container of reached states.  It may hold
     only the initial state and targets of edges that passed
-    ``check_edge``, so each of them satisfies the invariants that read the
-    state alone.
+    ``check_edge``, so each of them satisfies the invariants, which read
+    the state alone and so are checked only at a state not yet in it.
     """
 
     def __init__(self, cfg: ExplorationConfig, reached=()) -> None:
@@ -382,9 +364,9 @@ class _Pipeline:
                 raise AssertionError(
                     "state relation must hold at the initial pair")
         if ("invariants" in self.checks
-                and _invariant_violation(s0, frozenset()) is not None):
+                and _invariant_violation(s0) is not None):
             raise AssertionError("invariants must hold at the initial state")
-        return _Path((0, 0, (0,) * n), sim, frozenset(), H.wf_start(n))
+        return _Path((0, 0, (0,) * n), sim, H.wf_start(n))
 
     def allowed(self, s: DtmlState, path: _Path) -> list[DtmlAction]:
         """The enabled actions of ``s``, in order, that ``path`` still has
@@ -412,23 +394,19 @@ class _Pipeline:
         ``simrel`` violation alone ends the path only when no other check
         runs; otherwise the record goes on without ``sim``.
 
-        A background flush copies one address from the volatile to the
+        The invariants read the state alone, so they are checked once per
+        state: at a target not yet in ``reached``, and never again.  A
+        background flush copies one address from the volatile to the
         persistent store, and only ``invariant.flushDiff`` reads the
         persistent store, which the flush can only make hold: so the flush
         edge keeps its source's simulation frame, well-formedness status
-        and invariant verdict, and only the flush budget and ``dirty``
-        change.  At a target in ``reached`` only ``invariant.flushDiff``,
-        which reads ``dirty``, can fail, so it alone is checked there.
+        and invariant verdict, and only the flush budget changes.
         """
         if a.kind == "flush":
-            return path._replace(
-                budgets=_spend(path.budgets, s, a),
-                dirty=_update_dirty(path.dirty, s, a, self.cfg.mutation))
+            return path._replace(budgets=_spend(path.budgets, s, a))
         report = self.report
-        dirty = _update_dirty(path.dirty, s, a, self.cfg.mutation)
-        if "invariants" in self.checks:
-            inv = (_flush_diff(s2, dirty) if s2 in self.reached
-                   else _invariant_violation(s2, dirty))
+        if "invariants" in self.checks and s2 not in self.reached:
+            inv = _invariant_violation(s2)
             if inv is not None:
                 report.violations.append(Violation(
                     inv, tuple(events), {"after_action": str(a)}))
@@ -468,7 +446,7 @@ class _Pipeline:
                 if not self.beyond_simrel:
                     return None
                 sim = None
-        return _Path(_spend(path.budgets, s, a), sim, dirty, wf)
+        return _Path(_spend(path.budgets, s, a), sim, wf)
 
     def _refuted(self, events: list[H.Event]) -> Violation | None:
         """The refinement violation of ``events`` when refinement runs and

@@ -134,13 +134,17 @@ def test_empty_checks_list_is_refused(capsys, argv) -> None:
     ["walk-dtms2", "--walks", "0"],
     ["mutate", "--walks", "0"],
     ["fuzz", "--walks", "-3"],
+    ["explore", "--max-steps", "0"],
+    ["fuzz", "--max-steps", "0"],
+    ["walk-dtms2", "--max-steps", "0"],
+    ["mutate", "--max-steps", "0"],
 ])
 def test_no_walk_is_refused(capsys, argv) -> None:
-    # a run of no walk would print PASS, or under mutate report every
-    # fault escaped, whatever the machine did
+    # a run of no walk or no step would print PASS, or under mutate report
+    # every fault escaped, whatever the machine did
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "error: --walks must be at least 1" in captured.err
+    assert f"error: {argv[1]} must be at least 1" in captured.err
     assert "PASS" not in captured.out and "escaped" not in captured.out
 
 

@@ -29,6 +29,7 @@ from durastm.explorer import (
     walk_reference,
 )
 from durastm.opacity import durably_opaque
+from durastm.reach import path as shortest_path, reach
 
 
 def test_config_bounds_guard() -> None:
@@ -179,7 +180,7 @@ def test_flush_edges_carry_what_the_full_checks_give(monkeypatch) -> None:
     for acceptor, a, s2, path, out in flushes:
         sim, hard = refinement.sim_step(acceptor, path.sim, a, s2, None)
         assert (hard, sim) == ((), out.sim)
-        assert explorer._invariant_violation(s2, out.dirty) is None
+        assert explorer._invariant_violation(s2) is None
         assert out.wf == path.wf
 
 
@@ -230,10 +231,10 @@ def _reference_sweep(cfg: ExplorationConfig, on_history) -> CheckReport:
 def test_sweep_gives_what_stepping_every_action_gives(domain, steps,
                                                       mutation, checks):
     # a flush that changes nothing ends at the cut unstepped, the cut is
-    # tested before recursing, and a reached state is checked for the
-    # path-dependent invariant alone: none of it may change a history,
-    # its order, a state count or a violation (with all checks on (2,1,2),
-    # both mutants break some, skip_log_clear_E2 an invariant among them)
+    # tested before recursing, and a reached state's invariants are not
+    # checked again: none of it may change a history, its order, a state
+    # count or a violation (with all checks on (2,1,2), both mutants break
+    # some, skip_log_clear_E2 an invariant among them)
     cfg = ExplorationConfig(domain=H.Domain(*domain), max_crashes=1,
                             flush_budget=1, max_steps=steps,
                             mutation=mutation, checks=checks)
@@ -244,31 +245,6 @@ def test_sweep_gives_what_stepping_every_action_gives(domain, steps,
     assert got == want and len(got) > 1000
     assert (rep.histories_explored, rep.states_visited, rep.violations) \
         == (ref.histories_explored, ref.states_visited, ref.violations)
-
-
-def test_a_reached_state_is_checked_for_unflushed_addresses(
-        monkeypatch) -> None:
-    # a fault in the path's bookkeeping: a flush forgets every unflushed
-    # address, so an edge can reach a state seen before while its stores
-    # differ outside dirty, and the store-diff invariant must still fail
-    update = explorer._update_dirty
-
-    def forgetful(dirty, s, a, mutation):
-        if a.kind == "flush":
-            return frozenset()
-        return update(dirty, s, a, mutation)
-
-    monkeypatch.setattr(explorer, "_update_dirty", forgetful)
-    cfg = ExplorationConfig(domain=H.Domain(2, 2, 2), max_crashes=1,
-                            flush_budget=1, max_steps=20,
-                            mutation="skip_flush_W7", checks=("invariants",))
-    got: list[H.History] = []
-    want: list[H.History] = []
-    rep = explore_exhaustive(cfg, on_history=got.append)
-    ref = _reference_sweep(cfg, want.append)
-    assert got == want
-    assert rep.violations == ref.violations
-    assert {v.check for v in rep.violations} == {"invariant.flushDiff"}
 
 
 def test_sweep_steps_and_checks_each_edge_once(monkeypatch) -> None:
@@ -347,12 +323,15 @@ def test_exhaustive_catches_skip_undo_log_by_its_history() -> None:
 def test_simrel_only_adds_violations(explore, mutation: str) -> None:
     # a path goes on past a simrel violation under the other checks, so
     # simrel can hide none of their violations, as it did when it ended
-    # the path at a state where the fault had not shown in the history yet
+    # the path at a state where the fault had not shown in the history yet;
+    # without its flush, a write breaks the store-diff invariant at W7,
+    # before the crash where simrel fails, so that fault runs without it
     steps = 30 if explore is explore_exhaustive else 60
+    checks = ("opacity", "refinement")
+    if mutation != "skip_flush_W7":
+        checks += ("invariants",)
     cfg = ExplorationConfig(domain=H.Domain(2, 1, 2), max_steps=steps,
-                            mutation=mutation, checks=("opacity",
-                                                       "refinement",
-                                                       "invariants"),
+                            mutation=mutation, checks=checks,
                             seed=5, num_walks=300, min_crashes=1,
                             continue_prob=0.85, crash_prob=0.02)
     without = explore(cfg)
@@ -371,6 +350,64 @@ def test_mutant_log_clear_breaks_quiet_log_invariant() -> None:
                             checks=("invariants",))
     rep = explore_exhaustive(cfg, stop_on={"invariant.logQuiet"})
     assert any(v.check == "invariant.logQuiet" for v in rep.violations)
+
+
+def _failing_states(domain: H.Domain, mutation: str | None):
+    """Over every state of the machine reachable with no bound on steps,
+    crashes or flushes: how many break an invariant, which invariants they
+    break, and the length and last action kind of a shortest schedule to
+    one of them (0 and None when none does)."""
+    m = DtmlMachine(domain, mutation=mutation)
+    parents, _ = reach([m.initial()], lambda s: (
+        (a, m.step(s, a)[0]) for a in m.enabled(s)))
+    failing = {s: inv for s in parents
+               if (inv := explorer._invariant_violation(s)) is not None}
+    if not failing:
+        return 0, set(), 0, None
+    # the parent map is in breadth-first order, so the first failing state
+    # is one a shortest schedule reaches
+    schedule = shortest_path(parents, next(iter(failing)))
+    return (len(failing), set(failing.values()), len(schedule),
+            schedule[-1].kind)
+
+
+# (states failing, invariants broken, shortest schedule's steps and last
+# action) over the reachable states of (2,1,2), per fault: without its
+# flush a write leaves the stores apart past W7, and a commit that leaves
+# the log behind breaks the quiet log once it releases the claim at E3;
+# a missing undo log breaks no state invariant
+_INVARIANT_BITES = {
+    None: (0, set(), 0, None),
+    "skip_flush_W7": (1692, {"invariant.flushDiff"}, 12, "W7"),
+    "skip_log_clear_E2": (260, {"invariant.logQuiet"}, 17, "E3"),
+    "skip_undo_log": (0, set(), 0, None),
+}
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+def test_invariants_on_every_reachable_state(mutation) -> None:
+    assert (_failing_states(H.Domain(2, 1, 2), mutation)
+            == _INVARIANT_BITES[mutation])
+
+
+def _without_c4(s):
+    return tuple(a for pc, a in zip(s.pc, s.in_addr) if pc == "W7")
+
+
+def _without_w7(s):
+    return (s.rec_addr,) if s.syst_pc == "C4" else ()
+
+
+@pytest.mark.parametrize("unflushed, bite", [
+    (_without_c4, (14, {"invariant.flushDiff"}, 16, "C3")),
+    (_without_w7, (100, {"invariant.flushDiff"}, 11, "W6")),
+], ids=["without_C4", "without_W7"])
+def test_the_store_diff_invariant_needs_both_flush_lines(
+        monkeypatch, unflushed, bite) -> None:
+    # an _unflushed that forgets the address one flush line owes fails on
+    # the clean machine, where a line has written back and not yet flushed
+    monkeypatch.setattr(explorer, "_unflushed", unflushed)
+    assert _failing_states(H.Domain(2, 1, 2), None) == bite
 
 
 def test_random_mode_reproducible_and_clean() -> None:

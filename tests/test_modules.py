@@ -8,13 +8,16 @@ tests, the demos or the benchmark mentions it.  Nor is any module-level
 named module constant.  Every function the benchmark's tracer wraps by name
 still exists.  And there is one search loop: no ``while x:`` loop that pops
 from ``x`` outside ``durastm.reach``, the closure of dTMS2's internal steps
-aside."""
+aside.  No checker knows the faults: only the machine that injects them
+names one."""
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+from durastm.dtml import MUTATIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "durastm"
@@ -359,6 +362,36 @@ def test_worklist_loop_detector_sees_each_form() -> None:
         "m.Walker.walk:17", "m.bfs:2", "m.dfs:5"]
     assert _worklist_loops({"m": source}, frozenset({"m.bfs"})) == [
         "m.Walker.walk:17", "m.dfs:5"]
+
+
+def _fault_names(source: str, faults: tuple[str, ...]) -> list[str]:
+    """line: fault for every string literal, docstrings and the parts of
+    f-strings included, that names one of ``faults``."""
+    return [f"{node.lineno}: {fault}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for fault in faults if fault in node.value]
+
+
+def test_checkers_do_not_know_the_faults() -> None:
+    # a checker that reads a fault's name can excuse that fault, as the
+    # store-diff invariant once excused the skipped flush
+    modules = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _fault_names(modules.pop("dtml.py"), MUTATIONS)
+    assert len(modules) >= 8
+    assert {name: found for name, source in modules.items()
+            if (found := _fault_names(source, MUTATIONS))} == {}
+
+
+def test_fault_name_detector_sees_each_form() -> None:
+    source = ('"""Docstring naming skip_a."""\n'
+              'def check(mutation, s):\n'
+              '    if mutation != "skip_a":\n'
+              '        return {"skip_b": 1}\n'
+              '    return f"{s} under skip_b" or "skip" or "skip_c"\n')
+    assert _fault_names(source, ("skip_a", "skip_b")) == [
+        "1: skip_a", "3: skip_a", "4: skip_b", "5: skip_b"]
 
 
 def _span_target(module: str, path: str):

@@ -65,17 +65,19 @@ RUNS += [pytest.param(fault, checks, id=f"{fault}-{'+'.join(checks)}")
 # shifts the seeded walks after it); every faulty row is re-pinned for paths
 # that go on past a simrel violation under the other checks, whose
 # violations are then those of the same run without simrel
-# (test_explorer.test_simrel_only_adds_violations)
+# (test_explorer.test_simrel_only_adds_violations); the skip_flush_W7 rows
+# with every check are re-pinned for the store-diff invariant read off the
+# control points, which ends each of that fault's writes at W7
 _PINNED = {
     ("sweep", None, CHECKS): (19256, 2281, 0, "e3b0c44298fc1c14"),
     ("sweep", "skip_undo_log", CHECKS): (18798, 2060, 182, "b2110c02a47f84e6"),
-    ("sweep", "skip_flush_W7", CHECKS): (25048, 3599, 584, "7269882781185053"),
+    ("sweep", "skip_flush_W7", CHECKS): (16230, 2217, 243, "5aff363d9489cb76"),
     ("sweep", "skip_log_clear_E2", CHECKS): (16910, 1761, 313, "bb7d8687ac010929"),
     ("sweep", "wrong_read", CHECKS): (12273, 2281, 621, "d19c66bdf2bf865e"),
     ("sweep", "wrong_read", NO_OPACITY): (12273, 2281, 324, "534ac8e43573ce0d"),
     ("walks", None, CHECKS): (3000, 1686, 0, "e3b0c44298fc1c14"),
     ("walks", "skip_undo_log", CHECKS): (3000, 1437, 1805, "377a7d8a7b591405"),
-    ("walks", "skip_flush_W7", CHECKS): (3000, 2040, 452, "2aea9364a14ef5eb"),
+    ("walks", "skip_flush_W7", CHECKS): (3000, 1223, 1654, "c55ff56994f40550"),
     ("walks", "skip_log_clear_E2", CHECKS): (3000, 1165, 2311, "a8bb33d1d2eac9ca"),
     ("walks", "wrong_read", CHECKS): (3000, 1570, 3358, "16957ced6a981020"),
     ("walks", "wrong_read", NO_OPACITY): (3000, 1570, 1685, "0135417b16f8ddda"),
@@ -196,4 +198,4 @@ def test_sim_frame_lies_inside_the_trace_frame(monkeypatch, mode, fault,
 def test_paths_carry_no_trace_frame() -> None:
     # refinement replays the history where it can fail; only the
     # simulation frame is carried
-    assert explorer._Path._fields == ("budgets", "sim", "dirty", "wf")
+    assert explorer._Path._fields == ("budgets", "sim", "wf")
