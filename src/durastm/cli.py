@@ -141,9 +141,10 @@ def _checks_arg(text: str) -> tuple[str, ...]:
 
 
 def _at_least_one(flag: str, count: int) -> int:
-    """A ``--walks`` or ``--max-steps`` count; fewer than one is a usage
-    error, as an empty ``--checks`` is: no walk and no step would pass
-    whatever the machine did."""
+    """A ``--walks``, ``--max-steps`` or ``mutate --max-crashes`` count;
+    fewer than one is a usage error, as an empty ``--checks`` is: no walk,
+    no step and, where each walk must crash, no crash would pass whatever
+    the machine did."""
     if count < 1:
         raise ValueError(f"{flag} must be at least 1")
     return count
@@ -232,10 +233,11 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     domain = _domain_from(args)
     steps = _at_least_one("--max-steps", args.max_steps)
     walks = _at_least_one("--walks", args.walks)
+    crashes = _at_least_one("--max-crashes", args.max_crashes)
     escaped = []
     for name in names:
         cfg = ExplorationConfig(
-            domain=domain, max_crashes=max(1, args.max_crashes),
+            domain=domain, max_crashes=crashes,
             flush_budget=args.flush_budget, max_steps=steps,
             seed=args.seed, checks=wanted, mutation=name,
             num_walks=walks, min_crashes=1, continue_prob=0.85,

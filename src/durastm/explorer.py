@@ -19,14 +19,11 @@ deduplication have still had their whole prefix checked.  The state
 invariants read the state alone: the stores may differ only at the
 addresses that ``_unflushed`` reads off the control points, where a line
 has written a value back and the next line flushes it.  So they are
-checked once per state, where it is first reached.  A background flush
-changes nothing but the persistent store, which only the store-diff
-invariant reads and which the flush can only make hold, so a flush edge
-keeps the verdicts of its source.  A flush of an address whose two stores
-already agree returns to the state it left, which the cut ends at once,
-so the exhaustive search ends that path unstepped.  Neither rule changes
-a count or a verdict.  A path ends at its first violation; the recorded
-counterexample is that prefix.
+checked once per state, where it is first reached.  A flush of an address
+whose two stores already agree returns to the state it left, which the
+cut ends at once, so the exhaustive search ends that path unstepped; every
+other edge, a flush included, takes the same checks.  A path ends at its
+first violation; the recorded counterexample is that prefix.
 A ``simrel`` violation is the one exception when other checks run: the
 path goes on under those checks alone, so that adding ``simrel`` to a run
 only adds violations and changes none of the others, nor the paths and
@@ -38,10 +35,10 @@ it rejects h·e only if ``may_break_opacity(e)``: invocations, begin and
 write responses, read and write aborts and the crash are always enabled
 after h, so only a successful read response or a commit response can be
 refused (``test_dtms2.test_only_the_events_that_may_break_opacity_are_rejected``).
-So a path carries no trace frame: the history is replayed through the
-run's one acceptor at those events, and not even there while the path's
-simulation frame stays non-empty, as a forward simulation implies trace
-inclusion.
+So a path carries no trace frame.  A forward simulation implies trace
+inclusion, so a non-empty simulation frame proves the history accepted:
+the history is replayed through the run's one acceptor only at those
+events, and only where opacity failed or the path has no non-empty frame.
 """
 from __future__ import annotations
 
@@ -319,19 +316,18 @@ class _Pipeline:
     collects the run's violations in ``report``.
 
     Refinement is decided by replaying the history through ``acceptor``
-    at an event that may break opacity, the only events the automaton can
-    reject (see the module docstring).  Past a ``simrel`` violation a path
-    goes on under the other checks when any runs (``beyond_simrel``).
+    where ``check_edge`` says.  Past a ``simrel`` violation a path goes on
+    under the other checks when any runs (``beyond_simrel``).
 
-    ``reached`` is the driver's container of reached states.  It may hold
-    only the initial state and targets of edges that passed
-    ``check_edge``, so each of them satisfies the invariants, which read
-    the state alone and so are checked only at a state not yet in it.
+    The pipeline holds no driver state: the driver tells ``check_edge``
+    by its ``new`` flag whether the target is reached for the first time.
+    The states reached before are the initial state, which ``start``
+    checks, and targets of edges that passed, so each satisfies the
+    invariants, which read the state alone.
     """
 
-    def __init__(self, cfg: ExplorationConfig, reached=()) -> None:
+    def __init__(self, cfg: ExplorationConfig) -> None:
         self.cfg = cfg
-        self.reached = reached
         checks = self.checks = cfg.check_set
         self.machine = DtmlMachine(cfg.domain, mutation=cfg.mutation)
         self.acceptor = None
@@ -354,8 +350,8 @@ class _Pipeline:
     def start(self, s0: DtmlState) -> _Path:
         """The path record of the empty schedule at the initial state
         ``s0``, which must satisfy the invariants and the relation to the
-        automaton's initial state: a flush edge carries its source's
-        verdicts, and the first source is ``s0``."""
+        automaton's initial state: ``check_edge`` checks only the targets
+        of edges, so the root is checked here."""
         n = self.cfg.domain.num_txns
         sim = None
         if "simrel" in self.checks:
@@ -381,37 +377,30 @@ class _Pipeline:
 
     def check_edge(self, a: DtmlAction, s: DtmlState, s2: DtmlState,
                    ev: H.Event | None, events: list[H.Event],
-                   path: _Path) -> _Path | None:
-        """Check one transition; ``events`` already includes ``ev``.
+                   path: _Path, new: bool = True) -> _Path | None:
+        """Check one transition; ``events`` already includes ``ev``, and
+        ``new`` says whether ``s2`` is reached here for the first time.
 
         Returns the path record after the step, or None when the step
         broke a check.  A failing event is reported under every check it
-        breaks, so one counterexample can carry several verdicts.
-        Refinement is decided only at an event that may break opacity, by
-        replaying the history, and not there either when ``sim`` is still
-        non-empty after the edge, which proves the history accepted; where
-        opacity fails the replay runs before ``sim`` would be stepped.  A
-        ``simrel`` violation alone ends the path only when no other check
-        runs; otherwise the record goes on without ``sim``.
-
-        The invariants read the state alone, so they are checked once per
-        state: at a target not yet in ``reached``, and never again.  A
-        background flush copies one address from the volatile to the
-        persistent store, and only ``invariant.flushDiff`` reads the
-        persistent store, which the flush can only make hold: so the flush
-        edge keeps its source's simulation frame, well-formedness status
-        and invariant verdict, and only the flush budget changes.
+        breaks, so one counterexample can carry several verdicts.  The
+        invariants read the state alone, so they are checked only at a new
+        target.  ``sim`` is stepped unless opacity already failed here, and
+        refinement is replayed only at an event that may break opacity,
+        when opacity failed or ``sim`` is absent or empty: a non-empty
+        frame proves the history accepted.  A ``simrel`` violation alone
+        ends the path only when no other check runs; otherwise the record
+        goes on without ``sim``.
         """
-        if a.kind == "flush":
-            return path._replace(budgets=_spend(path.budgets, s, a))
         report = self.report
-        if "invariants" in self.checks and s2 not in self.reached:
+        if new and "invariants" in self.checks:
             inv = _invariant_violation(s2)
             if inv is not None:
                 report.violations.append(Violation(
                     inv, tuple(events), {"after_action": str(a)}))
                 return None
         sim, wf = path.sim, path.wf
+        viols: list[Violation] = []
         breaks = ev is not None and may_break_opacity(ev)
         if ev is not None:
             at = len(events) - 1
@@ -420,32 +409,29 @@ class _Pipeline:
                 report.violations.append(Violation(
                     "wellformed", tuple(events), {"at_event": at}))
                 return None
-            viols: list[Violation] = []
             if breaks and "opacity" in self.checks:
                 verdict = self.opacity(H.ops(events))
                 if not verdict.ok:
                     viols.append(Violation(
                         "opacity", tuple(events),
                         {"at_event": at, "reason": verdict.reason}))
-            if (breaks and (viols or sim is None)
-                    and (v := self._refuted(events)) is not None):
-                viols.append(v)
-            if viols:
-                report.violations.extend(viols)
-                return None
-        if sim is not None:
+        hard = ()
+        if sim is not None and not viols:
             sim, hard = sim_step(self.acceptor, sim, a, s2, ev,
                                  prune=self.sim_filter)
-            if hard:
-                if breaks and (v := self._refuted(events)) is not None:
-                    report.violations.append(v)
-                    return None
-                report.violations.append(Violation(
-                    "simrel", tuple(events),
-                    {"action": str(a), "clauses": list(hard)}))
-                if not self.beyond_simrel:
-                    return None
-                sim = None
+        if (breaks and (viols or not sim)
+                and (v := self._refuted(events)) is not None):
+            viols.append(v)
+        if viols:
+            report.violations.extend(viols)
+            return None
+        if hard:
+            report.violations.append(Violation(
+                "simrel", tuple(events),
+                {"action": str(a), "clauses": list(hard)}))
+            if not self.beyond_simrel:
+                return None
+            sim = None
         return _Path(_spend(path.budgets, s, a), sim, wf)
 
     def _refuted(self, events: list[H.Event]) -> Violation | None:
@@ -494,7 +480,7 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
     cfg.validate(_MACHINE_CHECKS, exhaustive=True)
     # state -> the most remaining depth it was expanded with
     visited: dict = {}
-    pipe = _Pipeline(cfg, reached=visited)
+    pipe = _Pipeline(cfg)
     machine = pipe.machine
     report = pipe.report
     stop = _stop_rule(stop_on, report)
@@ -532,11 +518,11 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
             if ev is not None:
                 events.append(ev)
             found = len(report.violations)
-            path2 = pipe.check_edge(a, s, s2, ev, events, path)
+            expanded = visited.get(s2, -1)
+            path2 = pipe.check_edge(a, s, s2, ev, events, path, expanded < 0)
             if len(report.violations) > found and stop():
                 stopped = True
-            if (path2 is None or stopped
-                    or visited.get(s2, -1) >= remaining - 1):
+            if path2 is None or stopped or expanded >= remaining - 1:
                 finish_path()
             else:
                 dfs(s2, depth + 1, path2)
@@ -606,7 +592,7 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
     """
     cfg.validate(_MACHINE_CHECKS)
     seen: set[DtmlState] = set()
-    pipe = _Pipeline(cfg, reached=seen)
+    pipe = _Pipeline(cfg)
     machine = pipe.machine
     report = pipe.report
     stop = _stop_rule(stop_on, report)
@@ -627,7 +613,8 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
             s2, ev = machine.step(s, a)
             if ev is not None:
                 events.append(ev)
-            path = pipe.check_edge(a, s, s2, ev, events, path)
+            path = pipe.check_edge(a, s, s2, ev, events, path,
+                                   s2 not in seen)
             if path is None:
                 break
             s = s2

@@ -182,17 +182,13 @@ def sim_filter(images: frozenset, cs2: DtmlState,
     Returns the candidates that satisfy it (``images`` itself when it
     prunes none, so that the frame keeps its cached hash) and, when none
     does, each image's first violated clause, global clauses first.  The
-    result is immutable, so that a memo may hand it out again.  The
-    cheapest clause, each transaction's abstract program counter, drops
-    candidates before the others run; the kept set does not depend on the
-    order in which its clauses are tested.
+    result is immutable, so that a memo may hand it out again.
     """
     side = _concrete_side(cs2)
-    pcs = tuple([_PC_TABLE[pc] for pc in cs2.pc])
-    txns = range(1, len(pcs) + 1)
+    txns = range(1, len(cs2.pc) + 1)
     kept = []
     for a2 in images:
-        if a2.pc != pcs or _global_clause(side, a2) is not None:
+        if _global_clause(side, a2) is not None:
             continue
         for t in txns:
             if txn_rel_clause(cs2, a2, t) is not None:

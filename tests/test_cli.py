@@ -138,10 +138,13 @@ def test_empty_checks_list_is_refused(capsys, argv) -> None:
     ["fuzz", "--max-steps", "0"],
     ["walk-dtms2", "--max-steps", "0"],
     ["mutate", "--max-steps", "0"],
+    ["mutate", "--max-crashes", "0"],
+    ["mutate", "--max-crashes", "-3"],
 ])
 def test_no_walk_is_refused(capsys, argv) -> None:
     # a run of no walk or no step would print PASS, or under mutate report
-    # every fault escaped, whatever the machine did
+    # every fault escaped, whatever the machine did; so would a mutate run
+    # whose walks must each crash once with no crash to spend
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"error: {argv[1]} must be at least 1" in captured.err

@@ -163,13 +163,14 @@ FLUSH_RUN = ExplorationConfig(
 
 
 def test_flush_edges_carry_what_the_full_checks_give(monkeypatch) -> None:
-    # every flush edge skips sim_step and the invariants; replayed through
-    # both, it must give the frame it carried, and pass
+    # every flush edge goes through sim_step and the invariants like any
+    # other edge; since neither reads the persistent store, which is all a
+    # flush changes, it must keep the frame and status it carried, and pass
     flushes = []
     check_edge = explorer._Pipeline.check_edge
 
-    def recording(pipe, a, s, s2, ev, events, path):
-        out = check_edge(pipe, a, s, s2, ev, events, path)
+    def recording(pipe, a, s, s2, ev, events, path, *new):
+        out = check_edge(pipe, a, s, s2, ev, events, path, *new)
         if a.kind == "flush":
             flushes.append((pipe.acceptor, a, s2, path, out))
         return out

@@ -151,9 +151,9 @@ def _guarded_run(monkeypatch, explore, cfg: ExplorationConfig, fault,
         frames[id(path)] = (path, acceptor.initial())
         return path
 
-    def guarded_edge(pipe, a, s, s2, ev, events, path):
+    def guarded_edge(pipe, a, s, s2, ev, events, path, *new):
         seen = len(pipe.report.violations)
-        out = check_edge(pipe, a, s, s2, ev, events, path)
+        out = check_edge(pipe, a, s, s2, ev, events, path, *new)
         trace = frames[id(path)][1]
         if ev is not None:
             trace = acceptor.advance(trace, ev)
@@ -199,3 +199,22 @@ def test_paths_carry_no_trace_frame() -> None:
     # refinement replays the history where it can fail; only the
     # simulation frame is carried
     assert explorer._Path._fields == ("budgets", "sim", "wf")
+
+
+@pytest.mark.parametrize("checks, replays", [
+    (CHECKS, 0), (TRACE_CHECKS, 1369), (REFINEMENT, 1369)])
+def test_refinement_is_replayed_only_where_no_frame_proves_it(
+        monkeypatch, checks, replays) -> None:
+    # with simrel the non-empty frame proves every history of the clean
+    # sweep accepted, so nothing is replayed; without it the history is
+    # replayed at each event that may break opacity and at no other
+    accepts = dtms2.Acceptor.accepts
+    calls = [0]
+
+    def counting(acceptor, h):
+        calls[0] += 1
+        return accepts(acceptor, h)
+
+    monkeypatch.setattr(dtms2.Acceptor, "accepts", counting)
+    report = explore_exhaustive(replace(SWEEP, checks=checks))
+    assert report.ok and calls[0] == replays
