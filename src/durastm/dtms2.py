@@ -21,10 +21,11 @@ external action its own kind and payload; internal actions emit nothing.
 An abort response is enabled while a read, write or commit is pending, so
 it answers any of them, and never a begin.
 
-Each machine builds its action tables once, from its domain, and both
+Each machine builds its own action tables once, from its domain, and both
 ``enabled`` and ``step`` read them: ``step`` accepts exactly the actions
-that ``enabled`` lists.  The same tables, keyed by what ``_event`` reads
-and the event it returns, match an event to the action that emits it.
+that ``enabled`` lists.  An event is matched to the action that emits it
+by asking ``_event`` of the enabled actions of its transaction whose kind
+the event names.
 Successor states are built field by field, and every part of a state is
 one shared object per distinct value, so the states of a run hold one copy
 of each distinct tuple.
@@ -167,24 +168,14 @@ def _event(a: Dtms2Action, pc: str, cur_val: int | None) -> Event:
     return Event(k, a.tx, a.addr, a.val)
 
 
-# transactions whose action tables are kept: the tables depend on the
-# domain only and nothing mutates them, so the machines over a domain share
-# them; dtms2_accepts builds a machine per history, and the tables are most
-# of what building one costs
-_TABLES_MEMO_SIZE = 64
-
-
-@lru_cache(maxsize=_TABLES_MEMO_SIZE)
 def _txn_tables(t: int, addrs: range, vals: range,
                 ) -> tuple[dict[str, tuple[Dtms2Action, ...]],
-                           dict[str, tuple[Dtms2Action, ...]],
-                           dict[tuple[str, int | None, Event], Dtms2Action]]:
-    """Transaction t's internal actions, its enabled actions (internal
-    ones first), at each control point, and its external actions keyed by
-    what ``_event`` reads (control point and current value) and the event
-    it returns.  At readPending the internal actions are those of a read
-    that its own write set answers, and at commitPending the writer's
-    commit; the other reads and commits there depend on the state."""
+                           dict[str, tuple[Dtms2Action, ...]]]:
+    """Transaction t's internal actions and its enabled actions (internal
+    ones first) at each control point.  At readPending the internal actions
+    are those of a read that its own write set answers, and at
+    commitPending the writer's commit; the other reads and commits there
+    depend on the state."""
     abort = mact("abortResp", t)
     internal = {
         "readPending": (mact("doRead", t),),
@@ -209,21 +200,16 @@ def _txn_tables(t: int, addrs: range, vals: range,
     }
     enabled = {pc: internal.get(pc, ()) + acts
                for pc, acts in external.items()}
-    emitters = {(pc, v, _event(a, pc, v)): a
-                for pc, acts in external.items() for a in acts
-                for v in (None, *vals)}
-    return ({pc: internal.get(pc, ()) for pc in external}, enabled,
-            emitters)
+    return {pc: internal.get(pc, ()) for pc in external}, enabled
 
 
 class Dtms2Machine:
     """Transition relation of the automaton, with or without crashes.
 
-    The action tables are built once, from the domain: for each transaction
-    the actions enabled at each control point, the internal ones among
-    them, the external one that emits each event there with each current
-    value, and, at its first read or commit, its reads and read-only
-    commits for each snapshot index.
+    The machine builds its own action tables once, from the domain: for
+    each transaction the actions enabled at each control point, the
+    internal ones among them, and, at its first read or commit, its reads
+    and read-only commits for each snapshot index.
     ``enabled`` and ``internal`` put their lists together from the tables
     and ``step`` checks its action against the same tables, so enabledness
     has one definition.  Only readPending and commitPending look at the
@@ -235,7 +221,7 @@ class Dtms2Machine:
         self.durable = durable
         addrs, vals = range(domain.num_addrs), range(domain.num_vals)
         self._txn_ids = range(1, domain.num_txns + 1)
-        self._txn_internal, self._txn_acts, self._txn_emitters = zip(
+        self._txn_internal, self._txn_acts = zip(
             *(_txn_tables(t, addrs, vals) for t in self._txn_ids))
         self._aborts = tuple(mact("abortResp", t) for t in self._txn_ids)
         # each transaction's reads and read-only commits by snapshot index,
@@ -397,16 +383,19 @@ def _closure(m: Dtms2Machine, states) -> set[Dtms2State]:
 
 def _matching_actions(m: Dtms2Machine, s: Dtms2State, e: Event) -> list[Dtms2Action]:
     """The actions enabled in s that emit e, in the order ``enabled`` lists
-    them: the one the tables key under e and its transaction's control
-    point and current value in s.  An event outside the domain has no key,
-    so no action."""
+    them: those of e's transaction's table at its control point in s whose
+    kind e names and for which ``_event`` returns e.  The reads and commits
+    that depend on the state are internal, so no event names them; an
+    event outside the domain has no table, so no action."""
     if e == CRASH:
         return list(m._tail)
     if e.tx not in m._txn_ids:
         return []
     i = e.tx - 1
-    a = m._txn_emitters[i].get((s.pc[i], s.cur_val[i], e))
-    return [] if a is None else [a]
+    pc, v = s.pc[i], s.cur_val[i]
+    kind = "abortResp" if e.abort else e.ev
+    return [a for a in m._txn_acts[i][pc]
+            if a.kind == kind and _event(a, pc, v) == e]
 
 
 def _match(m: Dtms2Machine, frame, e: Event) -> frozenset:
@@ -475,8 +464,9 @@ def dtms2_accepts(h: History, domain: Domain,
     Subset construction: track every automaton state reachable on the
     events seen so far, closing over internal transitions before each
     event.  Rejection reports the index of the first impossible event.
-    A fresh acceptor serves this one history; callers that judge many
-    histories over one domain keep an ``Acceptor`` and call ``accepts``.
+    A fresh machine, which builds its own tables, and a fresh acceptor
+    serve this one history; callers that judge many histories over one
+    domain keep an ``Acceptor`` and call ``accepts``.
     """
     return Acceptor(Dtms2Machine(domain, durable=durable)).accepts(h)
 

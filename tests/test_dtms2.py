@@ -181,11 +181,38 @@ def test_non_durable_variant_has_no_crash() -> None:
 def test_building_a_machine_is_linear_in_transactions() -> None:
     # the reads and read-only commits by snapshot index, num_txns + 1 per
     # transaction, wait for a transaction's first read or commit; what is
-    # left is at most the 12 actions of each transaction's tables on one
-    # address and one value, and the crash
+    # left is at most the 12 enabled and internal actions of each
+    # transaction's tables on one address and one value, and the crash
     before = mact.cache_info().currsize
     Dtms2Machine(H.Domain(2000, 1, 1))
     assert mact.cache_info().currsize - before <= 12 * 2000 + 1
+
+
+def test_building_a_machine_does_no_emission_work(monkeypatch) -> None:
+    # an event asks _event for its action when it arrives, so building a
+    # machine emits nothing, whatever the number of transactions or values
+    calls = []
+    event = dtms2._event
+
+    def counted(*args):
+        calls.append(args)
+        return event(*args)
+
+    monkeypatch.setattr(dtms2, "_event", counted)
+    Dtms2Machine(H.Domain(2000, 1, 1))
+    m = Dtms2Machine(H.Domain(2, 2, 300))
+    assert calls == []
+    acc = Acceptor(m)
+    assert acc.accepts((
+        H.inv_begin(1), H.res_begin(1),
+        H.inv_write(1, 1, 299), H.res_write(1),
+        H.inv_commit(1), H.res_commit(1),
+        H.inv_begin(2), H.res_begin(2),
+        H.inv_read(2, 1), H.res_read(2, 299),
+    )).ok
+    got = acc.accepts((H.inv_begin(1), H.res_begin(1),
+                       H.inv_read(1, 0), H.res_read(1, 299)))
+    assert not got.ok and got.failed_at == 3
 
 
 def test_step_rejects_disabled_action() -> None:
