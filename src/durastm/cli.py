@@ -243,12 +243,11 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
             num_walks=walks, min_crashes=1, continue_prob=0.85,
             crash_prob=0.02)
         report = explore_random(cfg, stop_on=set(wanted))
-        found = {v.check for v in report.violations}
-        if set(wanted) <= found:
+        if set(wanted) <= report.failed:
             print(f"{name}: caught "
-                  f"({', '.join(sorted(found))} violations found)")
+                  f"({', '.join(sorted(report.failed))} violations found)")
         else:
-            missing = sorted(set(wanted) - found)
+            missing = sorted(set(wanted) - report.failed)
             print(f"{name}: escaped ({', '.join(missing)} found nothing)")
             escaped.append(name)
     print(_status(not escaped))

@@ -51,6 +51,7 @@ from typing import NamedTuple
 
 from .histories import CRASH, Domain, Event, History, res_read
 from .nvm import shared, with_entry
+from .reach import reach
 
 # entries per acceptor step cache; bounds memory on long sweeps, where an
 # unbounded memo doubled peak RSS for no further speed-up
@@ -368,17 +369,12 @@ def _closure(m: Dtms2Machine, states) -> set[Dtms2State]:
     """Every state reachable from states by internal actions.  ``internal``
     lists only enabled actions, so they are applied without ``step``
     checking them again; so are ``_silent``'s."""
-    seen = set(states)
-    frontier = list(states)
-    while frontier:
-        s = frontier.pop()
+    def successors(s: Dtms2State):
         for i in range(len(s.pc)):
             for a in m.internal(s, i):
-                s2, _ = m._apply_txn(s, a, i)
-                if s2 not in seen:
-                    seen.add(s2)
-                    frontier.append(s2)
-    return seen
+                yield a, m._apply_txn(s, a, i)[0]
+
+    return set(reach(states, successors)[0])
 
 
 def _matching_actions(m: Dtms2Machine, s: Dtms2State, e: Event) -> list[Dtms2Action]:

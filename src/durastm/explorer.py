@@ -24,10 +24,9 @@ whose two stores already agree returns to the state it left, which the
 cut ends at once, so the exhaustive search ends that path unstepped; every
 other edge, a flush included, takes the same checks.  A path ends at its
 first violation; the recorded counterexample is that prefix.
-A ``simrel`` violation is the one exception when other checks run: the
-path goes on under those checks alone, so that adding ``simrel`` to a run
-only adds violations and changes none of the others, nor the paths and
-states the run covers.
+A ``simrel`` violation is the one exception: the path goes on without the
+simulation frame, so that adding ``simrel`` to any run, one with no other
+check included, changes no other verdict and no history or state count.
 
 Refinement is decided where it can fail.  If the reference automaton
 accepts a durably well-formed history h and h·e is durably well-formed,
@@ -182,7 +181,13 @@ class Violation:
 
 @dataclass
 class CheckReport:
-    """Outcome of one exploration run."""
+    """Outcome of one exploration run.
+
+    ``failed`` holds the ``check`` and the ``selected_by`` of every
+    violation, so it names each check that failed, an invariant both by
+    its own name and as ``invariants``.  Violations are recorded only
+    through ``add``, which keeps the two in step.
+    """
 
     histories_explored: int = 0
     states_visited: int = 0
@@ -191,6 +196,11 @@ class CheckReport:
     # the run's settings (see _config_block), so that a report says what
     # it covers
     config: dict = field(default_factory=dict)
+    failed: set[str] = field(default_factory=set)
+
+    def add(self, v: Violation) -> None:
+        self.violations.append(v)
+        self.failed.update((v.check, v.selected_by))
 
     @property
     def ok(self) -> bool:
@@ -317,7 +327,8 @@ class _Pipeline:
 
     Refinement is decided by replaying the history through ``acceptor``
     where ``check_edge`` says.  Past a ``simrel`` violation a path goes on
-    under the other checks when any runs (``beyond_simrel``).
+    without ``sim``, whatever other checks run, so ``simrel`` changes no
+    other verdict and no history or state count.
 
     The pipeline holds no driver state: the driver tells ``check_edge``
     by its ``new`` flag whether the target is reached for the first time.
@@ -333,7 +344,6 @@ class _Pipeline:
         self.acceptor = None
         if checks & {"refinement", "simrel"}:
             self.acceptor = Acceptor(Dtms2Machine(cfg.domain))
-        self.beyond_simrel = bool(checks - {"simrel"})
         self.sim_filter = lru_cache(maxsize=SIM_MEMO_SIZE)(sim_filter)
         value_domain = range(cfg.domain.num_vals)
         bounds = OracleBounds.covering(cfg.domain)
@@ -382,21 +392,21 @@ class _Pipeline:
         ``new`` says whether ``s2`` is reached here for the first time.
 
         Returns the path record after the step, or None when the step
-        broke a check.  A failing event is reported under every check it
-        breaks, so one counterexample can carry several verdicts.  The
-        invariants read the state alone, so they are checked only at a new
-        target.  ``sim`` is stepped unless opacity already failed here, and
-        refinement is replayed only at an event that may break opacity,
-        when opacity failed or ``sim`` is absent or empty: a non-empty
-        frame proves the history accepted.  A ``simrel`` violation alone
-        ends the path only when no other check runs; otherwise the record
-        goes on without ``sim``.
+        broke a check other than ``simrel``.  A failing event is reported
+        under every check it breaks, so one counterexample can carry
+        several verdicts.  The invariants read the state alone, so they are
+        checked only at a new target.  ``sim`` is stepped unless opacity
+        already failed here, and refinement is replayed only at an event
+        that may break opacity, when opacity failed or ``sim`` is absent or
+        empty: a non-empty frame proves the history accepted.  A ``simrel``
+        violation never ends the path: the record goes on without ``sim``,
+        even when no other check runs.
         """
         report = self.report
         if new and "invariants" in self.checks:
             inv = _invariant_violation(s2)
             if inv is not None:
-                report.violations.append(Violation(
+                report.add(Violation(
                     inv, tuple(events), {"after_action": str(a)}))
                 return None
         sim, wf = path.sim, path.wf
@@ -406,7 +416,7 @@ class _Pipeline:
             at = len(events) - 1
             wf = H.wf_step(wf, ev)
             if wf is None:
-                report.violations.append(Violation(
+                report.add(Violation(
                     "wellformed", tuple(events), {"at_event": at}))
                 return None
             if breaks and "opacity" in self.checks:
@@ -423,14 +433,12 @@ class _Pipeline:
                 and (v := self._refuted(events)) is not None):
             viols.append(v)
         if viols:
-            report.violations.extend(viols)
+            for v in viols:
+                report.add(v)
             return None
         if hard:
-            report.violations.append(Violation(
-                "simrel", tuple(events),
-                {"action": str(a), "clauses": list(hard)}))
-            if not self.beyond_simrel:
-                return None
+            report.add(Violation("simrel", tuple(events),
+                                 {"action": str(a), "clauses": list(hard)}))
             sim = None
         return _Path(_spend(path.budgets, s, a), sim, wf)
 
@@ -446,25 +454,6 @@ class _Pipeline:
                           "event": str(events[-1])})
 
 
-def _stop_rule(stop_on, report: CheckReport):
-    """A test of whether every check that ``stop_on`` names has a violation
-    in ``report`` yet.  Each call reads only the violations added since the
-    last one: a run that goes on past many simrel violations would
-    otherwise pay for all of them at each new one."""
-    wanted = set(stop_on or ())
-    seen: set[str] = set()
-    read = 0
-
-    def reached() -> bool:
-        nonlocal read
-        for v in report.violations[read:]:
-            seen.update((v.check, v.selected_by))
-        read = len(report.violations)
-        return bool(wanted) and wanted <= seen
-
-    return reached
-
-
 # -- exhaustive mode -----------------------------------------------------------
 
 
@@ -474,8 +463,9 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
 
     ``on_history`` receives each maximal path's event history (paths end
     at the step bound, at a budget cut, at a revisited state, or at a
-    violation).  ``stop_on`` names checks; the search stops early once
-    every named check has at least one recorded violation.
+    violation other than ``simrel``).  ``stop_on`` names checks; the
+    search stops early once every named check has at least one recorded
+    violation.
     """
     cfg.validate(_MACHINE_CHECKS, exhaustive=True)
     # state -> the most remaining depth it was expanded with
@@ -483,7 +473,7 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
     pipe = _Pipeline(cfg)
     machine = pipe.machine
     report = pipe.report
-    stop = _stop_rule(stop_on, report)
+    stop = set(stop_on or ())
     report.config["dedup"] = "state"
     events: list[H.Event] = []
     start = time.perf_counter()
@@ -520,7 +510,8 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
             found = len(report.violations)
             expanded = visited.get(s2, -1)
             path2 = pipe.check_edge(a, s, s2, ev, events, path, expanded < 0)
-            if len(report.violations) > found and stop():
+            if (len(report.violations) > found and stop
+                    and stop <= report.failed):
                 stopped = True
             if path2 is None or stopped or expanded >= remaining - 1:
                 finish_path()
@@ -595,7 +586,7 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
     pipe = _Pipeline(cfg)
     machine = pipe.machine
     report = pipe.report
-    stop = _stop_rule(stop_on, report)
+    stop = set(stop_on or ())
     rng = random.Random(cfg.seed)
     start = time.perf_counter()
 
@@ -622,7 +613,7 @@ def explore_random(cfg: ExplorationConfig, on_history=None,
         report.histories_explored += 1
         if on_history is not None:
             on_history(tuple(events))
-        if stop():
+        if stop and stop <= report.failed:
             break
 
     report.states_visited = len(seen)
@@ -645,7 +636,7 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
     """
     cfg.validate(_REFERENCE_CHECKS)
     report = CheckReport(config=_config_block(cfg))
-    stop = _stop_rule(stop_on, report)
+    stop = set(stop_on or ())
     bounds = OracleBounds.covering(cfg.domain)
     durable = Dtms2Machine(cfg.domain)
     crash_free = Dtms2Machine(cfg.domain, durable=False)
@@ -662,26 +653,26 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
         if "opacity" in cfg.check_set:
             verdict = durably_opaque(h, range(cfg.domain.num_vals), bounds)
             if not verdict.ok:
-                report.violations.append(Violation(
+                report.add(Violation(
                     "opacity", h,
                     {"walk": walk_no, "reason": verdict.reason}))
         if acceptor is not None:
             acc = acceptor.accepts(h)
             if not acc.ok:
-                report.violations.append(Violation(
+                report.add(Violation(
                     "refinement", h,
                     {"walk": walk_no, "failed_at": acc.failed_at}))
         if "weaksim" in cfg.check_set:
             sim = check_weak_sim(durable, crash_free, schedule)
             if not sim.ok:
-                report.violations.append(Violation(
+                report.add(Violation(
                     "weaksim", h,
                     {"walk": walk_no, "reason": sim.reason,
                      "failed_at": sim.failed_at}))
         report.histories_explored += 1
         if on_history is not None:
             on_history(h)
-        if stop():
+        if stop and stop <= report.failed:
             break
 
     report.elapsed = time.perf_counter() - start

@@ -233,17 +233,15 @@ def _next_status(s: str, e: Event) -> str | None:
     return (nexts[1] or nexts[0]) if e.abort else nexts[0]
 
 
-def _ill_formed_at(h: Sequence[Event], crashes: bool) -> int | None:
+def _ill_formed_at(h: Sequence[Event]) -> int | None:
     """Index of the event at which h stops being durably well-formed, or
     None when it is.  One pass, keeping each transaction's status as
     ``wf_step`` does, in a dict, so that any ids may occur.  A crash
     finishes every transaction that has started, so that no id spans two
-    eras; when not ``crashes`` it is a usage error instead."""
+    eras."""
     status: dict = {}
     for i, e in enumerate(h):
         if e.ev == "crash":
-            if not crashes:
-                raise ValueError(_CRASHY)
             status = dict.fromkeys(status, _HALT)
             continue
         ns = _next_status(status.get(e.tx, _NS), e)
@@ -259,11 +257,9 @@ def well_formed(h: Sequence[Event]) -> bool:
 
     Defined on crash-free histories only; a crash marker is a usage error.
     """
-    h = tuple(h)
-    bad = _ill_formed_at(h, crashes=False)
-    if bad is not None and any(e.ev == "crash" for e in h[bad + 1:]):
+    if CRASH in h:
         raise ValueError(_CRASHY)
-    return bad is None
+    return _ill_formed_at(h) is None
 
 
 def durably_well_formed(h: Sequence[Event]) -> bool:
@@ -271,13 +267,13 @@ def durably_well_formed(h: Sequence[Event]) -> bool:
 
     Whole-history form; ``wf_step`` decides the same one event at a time.
     """
-    return _ill_formed_at(h, crashes=True) is None
+    return _ill_formed_at(h) is None
 
 
 def first_ill_formed(h: Sequence[Event]) -> int | None:
     """Length of the shortest prefix of h that is not durably
     well-formed, or None when h is durably well-formed."""
-    bad = _ill_formed_at(h, crashes=True)
+    bad = _ill_formed_at(h)
     return None if bad is None else bad + 1
 
 

@@ -66,7 +66,6 @@ from .histories import (
     History,
     completions,
     completions_unchecked,
-    durably_well_formed,
     first_ill_formed,
     is_committed,
     is_crash,
@@ -385,8 +384,8 @@ def durably_opaque(h: Sequence[Event], value_domain, bounds: OracleBounds | None
     on h: ops(h) is then well-formed and crash-free, and within them."""
     h = tuple(h)
     _check_bounds(h, value_domain, bounds)
-    if not durably_well_formed(h):
-        k = first_ill_formed(h)
+    k = first_ill_formed(h)
+    if k is not None:
         return Verdict(False, failing_prefix=k, reason="history is not durably well-formed")
     return _opaque(ops(h), tuple(value_domain))
 

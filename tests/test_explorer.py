@@ -151,7 +151,7 @@ def test_acceptor_memo_size_changes_no_verdict_and_bounds_its_caches(
     assert max(i.currsize for i in cache_infos(acceptors[-1])) <= 1
     cfg = replace(cfg, mutation="skip_undo_log")
     hist, states, viols, _ = run()
-    # paths go on past simrel's violations under the other checks
+    # paths go on past simrel's violations
     assert (hist, states, len(viols)) == (9719, 2065, 110)
 
 
@@ -322,26 +322,28 @@ def test_exhaustive_catches_skip_undo_log_by_its_history() -> None:
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @pytest.mark.parametrize("explore", [explore_exhaustive, explore_random])
 def test_simrel_only_adds_violations(explore, mutation: str) -> None:
-    # a path goes on past a simrel violation under the other checks, so
-    # simrel can hide none of their violations, as it did when it ended
-    # the path at a state where the fault had not shown in the history yet;
+    # a path goes on past a simrel violation, so simrel can hide none of
+    # the other checks' violations, as it did when it ended the path at a
+    # state where the fault had not shown in the history yet; with no
+    # other check, the run covers the paths and states of one with none;
     # without its flush, a write breaks the store-diff invariant at W7,
     # before the crash where simrel fails, so that fault runs without it
     steps = 30 if explore is explore_exhaustive else 60
-    checks = ("opacity", "refinement")
+    others = ("opacity", "refinement")
     if mutation != "skip_flush_W7":
-        checks += ("invariants",)
-    cfg = ExplorationConfig(domain=H.Domain(2, 1, 2), max_steps=steps,
-                            mutation=mutation, checks=checks,
-                            seed=5, num_walks=300, min_crashes=1,
-                            continue_prob=0.85, crash_prob=0.02)
-    without = explore(cfg)
-    both = explore(replace(cfg, checks=cfg.checks + ("simrel",)))
-    assert any(v.check == "simrel" for v in both.violations)
-    assert [v for v in both.violations if v.check != "simrel"] \
-        == without.violations
-    assert ((both.histories_explored, both.states_visited)
-            == (without.histories_explored, without.states_visited))
+        others += ("invariants",)
+    for checks in (others, ()):
+        cfg = ExplorationConfig(domain=H.Domain(2, 1, 2), max_steps=steps,
+                                mutation=mutation, checks=checks,
+                                seed=5, num_walks=300, min_crashes=1,
+                                continue_prob=0.85, crash_prob=0.02)
+        without = explore(cfg)
+        both = explore(replace(cfg, checks=checks + ("simrel",)))
+        assert any(v.check == "simrel" for v in both.violations)
+        assert [v for v in both.violations if v.check != "simrel"] \
+            == without.violations
+        assert ((both.histories_explored, both.states_visited)
+                == (without.histories_explored, without.states_visited))
 
 
 def test_mutant_log_clear_breaks_quiet_log_invariant() -> None:

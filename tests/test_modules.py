@@ -7,9 +7,10 @@ tests, the demos or the benchmark mentions it.  Nor is any module-level
 ``lru_cache`` in the source, per-instance memos too, takes its size from a
 named module constant.  Every function the benchmark's tracer wraps by name
 still exists.  And there is one search loop: no ``while x:`` loop that pops
-from ``x`` outside ``durastm.reach``, the closure of dTMS2's internal steps
-aside.  No checker knows the faults: only the machine that injects them
-names one."""
+from ``x`` outside ``durastm.reach``.  No checker knows the faults: only the
+machine that injects them names one.  And a run records a violation in one
+place: nothing appends to or extends a ``violations`` list outside
+``CheckReport.add``."""
 from __future__ import annotations
 
 import ast
@@ -297,9 +298,8 @@ def test_cache_size_detector_sees_each_form() -> None:
         "m.literal:10", "m.mact:25", "m.unbounded:4"]
 
 
-# the search kernel, and dTMS2's closure over internal steps, which every
-# workload runs and which a successor callback per state would slow down
-_WORKLIST_OK = frozenset({"reach.reach", "dtms2._closure"})
+# the search kernel
+_WORKLIST_OK = frozenset({"reach.reach"})
 
 
 def _worklist_loops(modules: dict[str, str],
@@ -362,6 +362,64 @@ def test_worklist_loop_detector_sees_each_form() -> None:
         "m.Walker.walk:17", "m.bfs:2", "m.dfs:5"]
     assert _worklist_loops({"m": source}, frozenset({"m.bfs"})) == [
         "m.Walker.walk:17", "m.dfs:5"]
+
+
+def _violation_writes(modules: dict[str, str]) -> list[str]:
+    """Every ``append`` or ``extend`` call on, or ``+=`` to, a name or
+    attribute called ``violations``, outside ``CheckReport.add``.  Writes
+    are named module.owner:line."""
+    def is_violations(node: ast.AST) -> bool:
+        return ((isinstance(node, ast.Name) and node.id == "violations")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "violations"))
+
+    found = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                write = (isinstance(node.func, ast.Attribute)
+                         and node.func.attr in ("append", "extend")
+                         and is_violations(node.func.value))
+            else:
+                write = (isinstance(node, ast.AugAssign)
+                         and is_violations(node.target))
+            name = f"{module}.{_owner(node, parents)}"
+            if write and name != "explorer.CheckReport.add":
+                found.append(f"{name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_violations_are_recorded_in_one_place() -> None:
+    # CheckReport.add keeps the report's set of failed checks in step, and
+    # is where a bound on the kept violations would go
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert "CheckReport" in modules["explorer"]
+    assert _violation_writes(modules) == []
+
+
+def test_violation_write_detector_sees_each_form() -> None:
+    source = ("class CheckReport:\n"
+              "    def add(self, v):\n"
+              "        self.violations.append(v)\n"
+              "def run(report, v, viols):\n"
+              "    report.violations.append(v)\n"
+              "    report.violations.extend(viols)\n"
+              "    report.violations += viols\n"
+              "    violations = []\n"
+              "    violations.append(v)\n"
+              "    viols.append(v)\n"
+              "    report.add(v)\n"
+              "    len(report.violations)\n")
+    assert _violation_writes({"explorer": source}) == [
+        "explorer.run:5", "explorer.run:6", "explorer.run:7",
+        "explorer.run:9"]
+    assert _violation_writes({"other": source}) == [
+        "other.CheckReport.add:3", "other.run:5", "other.run:6",
+        "other.run:7", "other.run:9"]
 
 
 def _fault_names(source: str, faults: tuple[str, ...]) -> list[str]:

@@ -267,7 +267,9 @@ def test_broken_pc_table_fails_the_simulation(monkeypatch) -> None:
     # hold, but no candidate satisfies the per-transaction ones
     monkeypatch.setitem(refinement._PC_TABLE, "W7", "writePending")
     broken = explore_exhaustive(PC_TABLE_RUN)
-    assert (broken.histories_explored, broken.states_visited) == (839, 681)
+    # a simrel violation ends no path, so the broken run covers the
+    # healthy run's paths and states
+    assert (broken.histories_explored, broken.states_visited) == (847, 705)
     assert len(broken.violations) == 16
     assert {v.check for v in broken.violations} == {"simrel"}
     assert {v.detail["action"] for v in broken.violations} \
