@@ -8,8 +8,8 @@ Run:  python3 demos/01_logging_machine_tour.py
 """
 import json
 
-from durastm.dtml import DtmlMachine, act
-from durastm.histories import Domain, event_to_json
+from durastm.dtml import DtmlMachine
+from durastm.histories import Domain, act, event_to_json
 
 machine = DtmlMachine(Domain(num_txns=1, num_addrs=2, num_vals=2))
 state = machine.initial()

@@ -8,8 +8,8 @@ survives the crash.
 
 Run:  python3 demos/02_crash_recovery_undo.py
 """
-from durastm.dtml import DtmlMachine, act
-from durastm.histories import Domain
+from durastm.dtml import DtmlMachine
+from durastm.histories import Domain, act
 
 PRELUDE = [
     act("invBegin", 1), act("B1", 1), act("B2", 1), act("resBegin", 1),

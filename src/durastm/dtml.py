@@ -13,9 +13,12 @@ first write to an address the old value is appended to a persistent undo
 log, the new value is written to volatile memory and explicitly flushed.
 Commit empties the log and bumps the counter back to even.  After a crash a
 recovery routine replays the undo log (write back, flush, delete) and
-resets the counter; no transaction may begin until recovery finishes.
+resets the counter, in the lines ``RECOVERY_LINES``; no transaction may
+begin until recovery finishes.
 
-Each machine builds its action tables once, from its domain, and both
+Its steps are ``histories.Action`` values from ``histories.act``, as the
+automaton's are.  Each machine builds its action tables once, from its
+domain (a ready row is ``histories.ready_invocations``), and both
 ``enabled`` and ``step`` read them: ``step`` accepts exactly the actions
 that ``enabled`` lists.  Successor states are built field by field; the
 memory and the undo log change only through their ``nvm`` methods.  Equal
@@ -31,14 +34,15 @@ shown to catch the resulting bugs:
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .histories import (
     CRASH,
+    Action,
     Domain,
     Event,
     History,
+    act,
     inv_begin,
     inv_commit,
     inv_read,
@@ -49,6 +53,7 @@ from .histories import (
     res_read_abort,
     res_write,
     res_write_abort,
+    ready_invocations,
 )
 from .nvm import MemoryPair, UndoLog, shared, with_entry
 
@@ -56,36 +61,8 @@ MUTATIONS = ("skip_flush_W7", "skip_undo_log", "skip_log_clear_E2")
 # the control points of a transaction that is not live: not yet begun, or
 # finished
 NOT_LIVE_PCS = frozenset({"NotStarted", "Committed", "Aborted"})
-
-
-class DtmlAction(NamedTuple):
-    """One atomic step: an external event boundary, an algorithm line, a
-    recovery line, a background flush, or a crash.  A tuple underneath, so
-    that hashing and equality run in C."""
-
-    kind: str
-    tx: int | None = None
-    addr: int | None = None
-    val: int | None = None
-
-    def __str__(self) -> str:
-        parts = []
-        if self.tx is not None:
-            parts.append(f"t{self.tx}")
-        if self.addr is not None:
-            parts.append(f"a{self.addr}")
-        if self.val is not None:
-            parts.append(f"v{self.val}")
-        return f"{self.kind}({', '.join(parts)})" if parts else self.kind
-
-
-@lru_cache(maxsize=None)
-def act(kind: str, tx: int | None = None, *, addr: int | None = None,
-        val: int | None = None) -> DtmlAction:
-    """The one (immutable) action with these fields: a domain's alphabet is
-    finite, so the machine's action tables hold shared instances, and
-    ``step`` finds an action that ``enabled`` handed out by identity."""
-    return DtmlAction(kind, tx, addr, val)
+# the recovery procedure's lines; C2 undoes one undo-log entry
+RECOVERY_LINES = ("C1", "C2", "C3", "C4", "C5", "C6")
 
 
 class DtmlState(NamedTuple):
@@ -106,7 +83,7 @@ class DtmlState(NamedTuple):
 
 
 def _txn_table(t: int, addrs: range,
-               vals: range) -> dict[str, tuple[DtmlAction, ...]]:
+               vals: range) -> dict[str, tuple[Action, ...]]:
     """Transaction t's enabled actions at each control point, where they do
     not depend on the state; at R2 and W2, those when validation passes."""
     table = {pc: (act(pc, t),)
@@ -114,10 +91,7 @@ def _txn_table(t: int, addrs: range,
                         "W6", "W7", "E1", "E2", "E3")}
     table["NotStarted"] = (act("invBegin", t),)
     table["BeginResp"] = (act("resBegin", t),)
-    table["Idle"] = (tuple(act("invRead", t, addr=a) for a in addrs)
-                     + tuple(act("invWrite", t, addr=a, val=v)
-                             for a in addrs for v in vals)
-                     + (act("invCommit", t),))
+    table["Idle"] = ready_invocations(t, addrs, vals)
     table["ReadResp"] = (act("resRead", t),)
     table["WriteResp"] = (act("resWrite", t),)
     table["CommitResp"] = (act("resCommit", t),)
@@ -149,7 +123,7 @@ class DtmlMachine:
         self._txn_acts = tuple(_txn_table(t, addrs, vals)
                                for t in self._txn_ids)
         self._rec_acts = {pc: (act(pc),)
-                          for pc in ("C1", "C3", "C4", "C5", "C6")}
+                          for pc in RECOVERY_LINES if pc != "C2"}
         self._rec_acts["RecIdle"] = ()
         self._undo_acts = {(a, v): act("C2", addr=a, val=v)
                            for a in addrs for v in vals}
@@ -176,15 +150,15 @@ class DtmlMachine:
 
     # -- enabledness -------------------------------------------------------
 
-    def enabled(self, s: DtmlState) -> list[DtmlAction]:
-        out: list[DtmlAction] = []
+    def enabled(self, s: DtmlState) -> list[Action]:
+        out: list[Action] = []
         for i in range(len(s.pc)):
             out += self._txn_enabled(s, i)
         out += self._recovery_enabled(s)
         out += self._tail
         return out
 
-    def _txn_enabled(self, s: DtmlState, i: int) -> tuple[DtmlAction, ...]:
+    def _txn_enabled(self, s: DtmlState, i: int) -> tuple[Action, ...]:
         pc = s.pc[i]
         table = self._txn_acts[i]
         if pc == "NotStarted":
@@ -202,7 +176,7 @@ class DtmlMachine:
 
     # -- transition --------------------------------------------------------
 
-    def step(self, s: DtmlState, a: DtmlAction) -> tuple[DtmlState, Event | None]:
+    def step(self, s: DtmlState, a: Action) -> tuple[DtmlState, Event | None]:
         """Apply one enabled action; returns the successor state and the
         emitted external event (None for internal steps)."""
         t = a.tx
@@ -242,7 +216,7 @@ class DtmlMachine:
         return DtmlState(s.glb, s.mem.crash_reset(), s.log, pc, loc, in_addr,
                          in_val, None, "C1", None, None)
 
-    def _apply_recovery(self, s: DtmlState, a: DtmlAction) -> DtmlState:
+    def _apply_recovery(self, s: DtmlState, a: Action) -> DtmlState:
         (glb, mem, log, pc, loc, in_addr, in_val, writer, syst_pc, rec_addr,
          rec_val) = s
         k = a.kind
@@ -262,7 +236,7 @@ class DtmlMachine:
         return DtmlState(glb, mem, log, pc, loc, in_addr, in_val, writer,
                          syst_pc, rec_addr, rec_val)
 
-    def _apply_txn(self, s: DtmlState, a: DtmlAction,
+    def _apply_txn(self, s: DtmlState, a: Action,
                    i: int) -> tuple[DtmlState, Event | None]:
         (glb, mem, log, pc, loc, in_addr, in_val, writer, syst_pc, rec_addr,
          rec_val) = s

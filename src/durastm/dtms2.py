@@ -21,7 +21,10 @@ external action its own kind and payload; internal actions emit nothing.
 An abort response is enabled while a read, write or commit is pending, so
 it answers any of them, and never a begin.
 
-Each machine builds its own action tables once, from its domain, and both
+Its actions are the logging machine's type, ``histories.Action``, from the
+same interner, so the two share their invocations and responses as
+objects.  Each machine builds its own action tables once, from its domain
+(a ready row is ``histories.ready_invocations``), and both
 ``enabled`` and ``step`` read them: ``step`` accepts exactly the actions
 that ``enabled`` lists.  An event is matched to the action that emits it
 by asking ``_event`` of the enabled actions of its transaction whose kind
@@ -49,7 +52,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .histories import CRASH, Domain, Event, History, res_read
+from .histories import (CRASH, Action, Domain, Event, History, act,
+                        ready_invocations, res_read)
 from .nvm import shared, with_entry
 from .reach import reach
 
@@ -61,39 +65,6 @@ MEMO_SIZE = 1024
 # the benchmark's workloads (bench/workloads.py) build their domain under
 # this older name
 Dtms2Config = Domain
-
-
-class Dtms2Action(NamedTuple):
-    """kind plus payload; ``idx`` selects the snapshot for reads and
-    read-only commits.  A tuple underneath, so that hashing and equality
-    run in C."""
-
-    kind: str
-    tx: int | None = None
-    addr: int | None = None
-    val: int | None = None
-    idx: int | None = None
-
-    def __str__(self) -> str:
-        parts = []
-        if self.tx is not None:
-            parts.append(f"t{self.tx}")
-        if self.addr is not None:
-            parts.append(f"a{self.addr}")
-        if self.val is not None:
-            parts.append(f"v{self.val}")
-        if self.idx is not None:
-            parts.append(f"n{self.idx}")
-        return f"{self.kind}({', '.join(parts)})" if parts else self.kind
-
-
-@lru_cache(maxsize=None)
-def mact(kind: str, tx: int | None = None, *, addr: int | None = None,
-         val: int | None = None, idx: int | None = None) -> Dtms2Action:
-    """The one (immutable) action with these fields: a domain's alphabet is
-    finite, so the machine's action tables hold shared instances, and
-    ``step`` finds an action that ``enabled`` handed out by identity."""
-    return Dtms2Action(kind, tx, addr, val, idx)
 
 
 Assignment = tuple[tuple[int, int], ...]  # sorted (addr, value) pairs
@@ -156,7 +127,7 @@ _NEXT_PC = {
 }
 
 
-def _event(a: Dtms2Action, pc: str, cur_val: int | None) -> Event:
+def _event(a: Action, pc: str, cur_val: int | None) -> Event:
     """The event that external action a emits from control point pc, with
     cur_val its transaction's current value (the value its read returned):
     the one statement of which event each action emits.  Internal actions (those of
@@ -170,32 +141,29 @@ def _event(a: Dtms2Action, pc: str, cur_val: int | None) -> Event:
 
 
 def _txn_tables(t: int, addrs: range, vals: range,
-                ) -> tuple[dict[str, tuple[Dtms2Action, ...]],
-                           dict[str, tuple[Dtms2Action, ...]]]:
+                ) -> tuple[dict[str, tuple[Action, ...]],
+                           dict[str, tuple[Action, ...]]]:
     """Transaction t's internal actions and its enabled actions (internal
     ones first) at each control point.  At readPending the internal actions
     are those of a read that its own write set answers, and at
     commitPending the writer's commit; the other reads and commits there
     depend on the state."""
-    abort = mact("abortResp", t)
+    abort = act("abortResp", t)
     internal = {
-        "readPending": (mact("doRead", t),),
-        "writePending": (mact("doWrite", t),),
-        "commitPending": (mact("doCommitW", t),),
+        "readPending": (act("doRead", t),),
+        "writePending": (act("doWrite", t),),
+        "commitPending": (act("doCommitW", t),),
     }
     external = {
-        "notStarted": (mact("invBegin", t),),
-        "beginPending": (mact("resBegin", t),),
-        "ready": (tuple(mact("invRead", t, addr=a) for a in addrs)
-                  + tuple(mact("invWrite", t, addr=a, val=v)
-                          for a in addrs for v in vals)
-                  + (mact("invCommit", t),)),
+        "notStarted": (act("invBegin", t),),
+        "beginPending": (act("resBegin", t),),
+        "ready": ready_invocations(t, addrs, vals),
         "readPending": (abort,),
-        "readResp": (mact("resRead", t), abort),
+        "readResp": (act("resRead", t), abort),
         "writePending": (abort,),
-        "writeResp": (mact("resWrite", t), abort),
+        "writeResp": (act("resWrite", t), abort),
         "commitPending": (abort,),
-        "commitResp": (mact("resCommit", t),),
+        "commitResp": (act("resCommit", t),),
         "committed": (),
         "aborted": (),
     }
@@ -224,13 +192,13 @@ class Dtms2Machine:
         self._txn_ids = range(1, domain.num_txns + 1)
         self._txn_internal, self._txn_acts = zip(
             *(_txn_tables(t, addrs, vals) for t in self._txn_ids))
-        self._aborts = tuple(mact("abortResp", t) for t in self._txn_ids)
+        self._aborts = tuple(act("abortResp", t) for t in self._txn_ids)
         # each transaction's reads and read-only commits by snapshot index,
         # a row built at its first use (see _row), so that building the
         # machine stays linear in num_txns
         self._reads = [None] * domain.num_txns
         self._ro_commits = [None] * domain.num_txns
-        self._tail = (mact("crash"),) if durable else ()
+        self._tail = (act("crash"),) if durable else ()
 
     def initial(self) -> Dtms2State:
         n = self.domain.num_txns
@@ -246,8 +214,8 @@ class Dtms2Machine:
 
     # -- enabledness -------------------------------------------------------
 
-    def enabled(self, s: Dtms2State) -> list[Dtms2Action]:
-        out: list[Dtms2Action] = []
+    def enabled(self, s: Dtms2State) -> list[Action]:
+        out: list[Action] = []
         for i in range(len(s.pc)):
             out += self._txn_enabled(s, i)
         out += self._tail
@@ -285,13 +253,13 @@ class Dtms2Machine:
         snapshot index, into ``rows``.  Every transaction appends at most
         one snapshot, and a crash truncates them to one, so indices stay
         below num_txns + 1."""
-        row = rows[i] = tuple(mact(kind, i + 1, idx=n)
+        row = rows[i] = tuple(act(kind, i + 1, idx=n)
                               for n in range(self.domain.num_txns + 1))
         return row
 
     # -- transition --------------------------------------------------------
 
-    def step(self, s: Dtms2State, a: Dtms2Action) -> tuple[Dtms2State, Event | None]:
+    def step(self, s: Dtms2State, a: Action) -> tuple[Dtms2State, Event | None]:
         if a.kind == "crash":
             if not self.durable:
                 raise ValueError("crash is not part of the non-durable automaton")
@@ -313,7 +281,7 @@ class Dtms2Machine:
         return Dtms2State(shared((s.mems[-1],)), shared(pcs),
                           shared((0,) * n), empty, empty, nothing, nothing)
 
-    def _apply_txn(self, s: Dtms2State, a: Dtms2Action,
+    def _apply_txn(self, s: Dtms2State, a: Action,
                    i: int) -> tuple[Dtms2State, Event | None]:
         mems, pc, begin_idx, rd_set, wr_set, cur_addr, cur_val = s
         k = a.kind
@@ -377,7 +345,7 @@ def _closure(m: Dtms2Machine, states) -> set[Dtms2State]:
     return set(reach(states, successors)[0])
 
 
-def _matching_actions(m: Dtms2Machine, s: Dtms2State, e: Event) -> list[Dtms2Action]:
+def _matching_actions(m: Dtms2Machine, s: Dtms2State, e: Event) -> list[Action]:
     """The actions enabled in s that emit e, in the order ``enabled`` lists
     them: those of e's transaction's table at its control point in s whose
     kind e names and for which ``_event`` returns e.  The reads and commits
@@ -505,13 +473,13 @@ def compact_history(h: History) -> tuple[History, Domain]:
 
 def dtms2_random_walk(m: Dtms2Machine, rng, max_steps: int,
                       max_crashes: int = 0,
-                      ) -> tuple[History, tuple[Dtms2Action, ...]]:
+                      ) -> tuple[History, tuple[Action, ...]]:
     """Uniform random walk through the automaton m; returns the emitted
     history and the action schedule that produced it."""
     s = m.initial()
     crashes = 0
     events: list[Event] = []
-    schedule: list[Dtms2Action] = []
+    schedule: list[Action] = []
     for _ in range(max_steps):
         options = m.enabled(s)
         if crashes >= max_crashes:

@@ -8,8 +8,6 @@ left ends there, whatever its history, so the sweep checks every edge it
 walks but not every history within the bounds.  Random mode runs seeded
 walks, uniform by default, with optional crash/continuation steering.  A
 third driver walks the reference automaton directly for its own checks.
-``canonical_hash`` is the state's digest that stays stable across
-processes, for results that must be compared between runs.
 
 Checks run prefix-incrementally: every emitted event advances the
 well-formedness status vector and the forward-simulation candidate set,
@@ -49,7 +47,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import histories as H
-from .dtml import (MUTATIONS, NOT_LIVE_PCS, DtmlAction, DtmlMachine,
+from .dtml import (MUTATIONS, NOT_LIVE_PCS, RECOVERY_LINES, DtmlMachine,
                    DtmlState)
 from .dtms2 import Acceptor, Dtms2Machine, dtms2_random_walk
 from .opacity import (OracleBounds, durably_opaque, end_to_end_opaque,
@@ -91,7 +89,6 @@ SIM_MEMO_SIZE = 1024
 # recovery plus one observer transaction, or the crash can prove nothing
 _FORCED_CRASH_RESERVE = 16
 
-_RECOVERY_KINDS = frozenset({"C1", "C2", "C3", "C4", "C5", "C6"})
 # control points that can never hold the write claim; every other point
 # with an odd snapshot (or W3, where glb is already odd but the local
 # snapshot has not incremented yet) is inside the exclusive write region
@@ -240,7 +237,8 @@ def _config_block(cfg: ExplorationConfig) -> dict:
 
 
 def canonical_hash(state: DtmlState) -> str:
-    """Content digest of a machine state, stable across process runs."""
+    """Content digest of a machine state, stable across process runs.  The
+    package does not call it; ``bench/spans.py`` times it by name."""
     payload = repr((
         state.glb, state.mem.vstore, state.mem.pstore, state.log.items(),
         state.pc, state.loc, state.in_addr, state.in_val, state.writer,
@@ -307,7 +305,7 @@ class _Path(NamedTuple):
     wf: tuple
 
 
-def _spend(budgets: tuple, s: DtmlState, a: DtmlAction) -> tuple:
+def _spend(budgets: tuple, s: DtmlState, a: H.Action) -> tuple:
     """The budgets spent once the path takes ``a`` in state ``s``."""
     crashes, flushes, retries = budgets
     if a.kind == "crash":
@@ -374,7 +372,7 @@ class _Pipeline:
             raise AssertionError("invariants must hold at the initial state")
         return _Path((0, 0, (0,) * n), sim, H.wf_start(n))
 
-    def allowed(self, s: DtmlState, path: _Path) -> list[DtmlAction]:
+    def allowed(self, s: DtmlState, path: _Path) -> list[H.Action]:
         """The enabled actions of ``s``, in order, that ``path`` still has
         the budget to take."""
         cfg = self.cfg
@@ -385,7 +383,7 @@ class _Pipeline:
                 and (a.kind != "B2" or s.loc[a.tx - 1] % 2 == 0
                      or retries[a.tx - 1] < MAX_BEGIN_RETRIES)]
 
-    def check_edge(self, a: DtmlAction, s: DtmlState, s2: DtmlState,
+    def check_edge(self, a: H.Action, s: DtmlState, s2: DtmlState,
                    ev: H.Event | None, events: list[H.Event],
                    path: _Path, new: bool = True) -> _Path | None:
         """Check one transition; ``events`` already includes ``ev``, and
@@ -532,18 +530,18 @@ def explore_exhaustive(cfg: ExplorationConfig, on_history=None,
 # -- random mode ---------------------------------------------------------------
 
 
-def _is_continuation(s: DtmlState, a: DtmlAction) -> bool:
+def _is_continuation(s: DtmlState, a: H.Action) -> bool:
     """Actions that advance an already-live transaction or the recovery
     routine; steering toward these makes walks mostly-sequential, which
     is where committed transactions (and durability bugs) live."""
-    if a.kind in _RECOVERY_KINDS:
+    if a.kind in RECOVERY_LINES:
         return True
     return a.tx is not None and s.pc[a.tx - 1] not in NOT_LIVE_PCS
 
 
 def _pick_action(rng: random.Random, cfg: ExplorationConfig,
-                 acts: list[DtmlAction], s: DtmlState, crashes: int,
-                 steps_left: int) -> DtmlAction:
+                 acts: list[H.Action], s: DtmlState, crashes: int,
+                 steps_left: int) -> H.Action:
     crash_acts = [a for a in acts if a.kind == "crash"]
     need = cfg.min_crashes - crashes
     if crash_acts and need > 0:
@@ -632,10 +630,15 @@ def walk_reference(cfg: ExplorationConfig, on_history=None,
     ``refinement`` check runs it through the run's one acceptor, whose memo
     all walks share, and the ``weaksim`` check replays the walk's schedule
     against the crash-free automaton to confirm the crash steps can be
-    erased.
+    erased.  A mutation, which only the logging machine has, is refused,
+    and the report gives no flush budget.
     """
     cfg.validate(_REFERENCE_CHECKS)
+    if cfg.mutation is not None:
+        raise ValueError(f"mutation {cfg.mutation!r} does not apply to "
+                         "the reference automaton")
     report = CheckReport(config=_config_block(cfg))
+    report.config["flush_budget"] = None
     stop = set(stop_on or ())
     bounds = OracleBounds.covering(cfg.domain)
     durable = Dtms2Machine(cfg.domain)

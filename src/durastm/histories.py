@@ -19,7 +19,8 @@ stated once too, in ``_FIELDS``: the enumerator draws the payloads it
 names, ``event_from_json`` allows exactly those fields, and ``rval`` reads
 its response values.
 
-Events are immutable values; histories are tuples of events.
+Events are immutable values; histories are tuples of events.  Both
+machines step by ``Action`` values, interned by ``act``.
 """
 from __future__ import annotations
 
@@ -96,6 +97,33 @@ class Event(NamedTuple):
 History = tuple[Event, ...]
 
 CRASH = Event("crash")
+
+
+class Action(NamedTuple):
+    """One step of the logging machine or of the reference automaton;
+    ``idx`` selects the automaton's snapshot for reads and read-only
+    commits.  A tuple underneath, so that hashing and equality run in C."""
+
+    kind: str
+    tx: int | None = None
+    addr: int | None = None
+    val: int | None = None
+    idx: int | None = None
+
+    def __str__(self) -> str:
+        # t<tx>, a<addr>, v<val>, n<idx>, each where it is given
+        parts = [f"{p}{x}" for p, x in zip("tavn", self[1:]) if x is not None]
+        return f"{self.kind}({', '.join(parts)})" if parts else self.kind
+
+
+@lru_cache(maxsize=None)
+def act(kind: str, tx: int | None = None, *, addr: int | None = None,
+        val: int | None = None, idx: int | None = None) -> Action:
+    """The action with these fields, one object for each call written the
+    same way: a domain's alphabet is finite, so the machines' action tables
+    hold shared instances, and ``step`` finds an action that ``enabled``
+    handed out by identity."""
+    return Action(kind, tx, addr, val, idx)
 
 
 @dataclass(frozen=True)
@@ -448,21 +476,36 @@ def wf_step(status: tuple, e: Event) -> tuple | None:
 # direct enumeration of durably well-formed histories ------------------------
 
 
+def _payloads(tag: str, addrs, vals) -> list[dict]:
+    """The fields of each event of ``tag`` over addrs and vals, as keyword
+    arguments, addresses outermost."""
+    fields = _FIELDS[tag][0]
+    pools = {"addr": addrs, "val": vals}
+    return [dict(zip(fields, payload))
+            for payload in product(*(pools[f] for f in fields))]
+
+
 @lru_cache(maxsize=_MOVES_MEMO_SIZE)
 def _txn_moves(t: int, s: str, addrs, vals,
                ) -> tuple[tuple[Event, str], ...]:
     """(event, next status) for every event transaction t may take next in
     status s, with its addresses and values drawn from addrs and vals (which
     must be hashable, such as ranges or tuples)."""
-    pools = {"addr": addrs, "val": vals}
     out = []
     for tag, (ok, ab) in _GRAMMAR[s].items():
-        fields = _FIELDS[tag][0]
-        out += [(Event(tag, t, **dict(zip(fields, payload))), ok)
-                for payload in product(*(pools[f] for f in fields))]
+        out += [(Event(tag, t, **kw), ok) for kw in _payloads(tag, addrs, vals)]
         if ab is not None:
             out.append((Event(tag, t, abort=True), ab))
     return tuple(out)
+
+
+def ready_invocations(t: int, addrs: range, vals: range,
+                      ) -> tuple[Action, ...]:
+    """Transaction t's invocations when ready, as actions in the grammar's
+    order: a read per address, a write per address and value, the commit.
+    Both machines build their ready rows from it."""
+    return tuple(act(tag, t, **kw) for tag in _GRAMMAR["RD"]
+                 for kw in _payloads(tag, addrs, vals))
 
 
 def enumerate_histories(

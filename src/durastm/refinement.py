@@ -44,9 +44,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
-from .dtml import NOT_LIVE_PCS, DtmlAction, DtmlMachine, DtmlState
+from .dtml import NOT_LIVE_PCS, DtmlMachine, DtmlState
 from .dtms2 import Acceptor, Dtms2Machine, Dtms2State
-from .histories import Domain, Event, History, ops
+from .histories import Action, Domain, Event, History, ops
 from .reach import path, reach
 
 # abstract status corresponding to each concrete program counter under the
@@ -206,7 +206,7 @@ def sim_filter(images: frozenset, cs2: DtmlState,
         for a2 in images}))
 
 
-def sim_step(acceptor: Acceptor, aset: frozenset, ca: DtmlAction,
+def sim_step(acceptor: Acceptor, aset: frozenset, ca: Action,
              cs2: DtmlState, ev: Event | None, prune=sim_filter,
              ) -> tuple[frozenset, tuple[str, ...]]:
     """Advance the candidate set over one concrete step.
@@ -236,7 +236,7 @@ class SimulationReport:
     states: int
     edges: int
     dead: Counter
-    schedule: tuple[DtmlAction, ...] = ()
+    schedule: tuple[Action, ...] = ()
     state: dict | None = None
     clauses: tuple[str, ...] = ()
 

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from durastm import cli
 from durastm import histories as H
 from durastm.cli import main, read_trace, write_trace
-from durastm.dtml import MUTATIONS, DtmlMachine, act
+from durastm.dtml import MUTATIONS, DtmlMachine
 from durastm.dtms2 import dtms2_accepts
+from durastm.histories import act
 from durastm.opacity import durably_opaque
 
 

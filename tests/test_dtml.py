@@ -15,7 +15,8 @@ import random
 import pytest
 
 from durastm import histories as H
-from durastm.dtml import MUTATIONS, DtmlMachine, act
+from durastm.dtml import MUTATIONS, DtmlMachine
+from durastm.histories import act
 
 
 CFG = H.Domain(num_txns=2, num_addrs=2, num_vals=2)

@@ -27,8 +27,8 @@ from durastm.dtms2 import (
     config_for_history,
     dtms2_accepts,
     dtms2_random_walk,
-    mact,
 )
+from durastm.histories import act
 from durastm.opacity import durably_opaque, may_break_opacity
 
 
@@ -46,9 +46,9 @@ def run_steps(m, actions, s=None):
 
 
 COMMITTED_WRITE_1 = [
-    mact("invBegin", 1), mact("resBegin", 1),
-    mact("invWrite", 1, addr=0, val=1), mact("doWrite", 1), mact("resWrite", 1),
-    mact("invCommit", 1), mact("doCommitW", 1), mact("resCommit", 1),
+    act("invBegin", 1), act("resBegin", 1),
+    act("invWrite", 1, addr=0, val=1), act("doWrite", 1), act("resWrite", 1),
+    act("invCommit", 1), act("doCommitW", 1), act("resCommit", 1),
 ]
 
 
@@ -73,39 +73,39 @@ def test_writer_appends_snapshot() -> None:
 def test_late_reader_sees_only_latest_snapshot() -> None:
     m = Dtms2Machine(CFG)
     s, _ = run_steps(m, COMMITTED_WRITE_1 + [
-        mact("invBegin", 2), mact("resBegin", 2), mact("invRead", 2, addr=0),
+        act("invBegin", 2), act("resBegin", 2), act("invRead", 2, addr=0),
     ])
     reads = [a for a in m.enabled(s) if a.kind == "doRead"]
     assert [a.idx for a in reads] == [1]
     s, _ = m.step(s, reads[0])
-    s, e = m.step(s, mact("resRead", 2))
+    s, e = m.step(s, act("resRead", 2))
     assert e == H.res_read(2, 1)
 
 
 def test_early_reader_may_use_either_snapshot() -> None:
     m = Dtms2Machine(CFG)
-    s, _ = run_steps(m, [mact("invBegin", 2), mact("resBegin", 2)]
-                     + COMMITTED_WRITE_1 + [mact("invRead", 2, addr=0)])
+    s, _ = run_steps(m, [act("invBegin", 2), act("resBegin", 2)]
+                     + COMMITTED_WRITE_1 + [act("invRead", 2, addr=0)])
     reads = [a for a in m.enabled(s) if a.kind == "doRead"]
     assert sorted(a.idx for a in reads) == [0, 1]
     # reading from the old snapshot pins the transaction to it
     s, _ = m.step(s, next(a for a in reads if a.idx == 0))
-    s, e = m.step(s, mact("resRead", 2))
+    s, e = m.step(s, act("resRead", 2))
     assert e == H.res_read(2, 0)
     assert s.rd_set[1] == ((0, 0),)
 
 
 def test_read_only_commit_against_old_snapshot() -> None:
     m = Dtms2Machine(CFG)
-    s, _ = run_steps(m, [mact("invBegin", 2), mact("resBegin", 2)]
+    s, _ = run_steps(m, [act("invBegin", 2), act("resBegin", 2)]
                      + COMMITTED_WRITE_1 + [
-        mact("invRead", 2, addr=0), mact("doRead", 2, idx=0),
-        mact("resRead", 2), mact("invCommit", 2),
+        act("invRead", 2, addr=0), act("doRead", 2, idx=0),
+        act("resRead", 2), act("invCommit", 2),
     ])
     ro = [a for a in m.enabled(s) if a.kind == "doCommitRO"]
     assert [a.idx for a in ro] == [0]
     s, _ = m.step(s, ro[0])
-    s, e = m.step(s, mact("resCommit", 2))
+    s, e = m.step(s, act("resCommit", 2))
     assert e == H.res_commit(2)
     assert s.mems == ((0, 0), (1, 0))  # read-only commit adds nothing
 
@@ -113,14 +113,14 @@ def test_read_only_commit_against_old_snapshot() -> None:
 def test_writer_with_stale_read_cannot_commit() -> None:
     m = Dtms2Machine(CFG)
     s, _ = run_steps(m, [
-        mact("invBegin", 2), mact("resBegin", 2),
-        mact("invRead", 2, addr=0), mact("doRead", 2, idx=0), mact("resRead", 2),
-        mact("invWrite", 2, addr=1, val=1), mact("doWrite", 2), mact("resWrite", 2),
-    ] + COMMITTED_WRITE_1 + [mact("invCommit", 2)])
+        act("invBegin", 2), act("resBegin", 2),
+        act("invRead", 2, addr=0), act("doRead", 2, idx=0), act("resRead", 2),
+        act("invWrite", 2, addr=1, val=1), act("doWrite", 2), act("resWrite", 2),
+    ] + COMMITTED_WRITE_1 + [act("invCommit", 2)])
     kinds = {a.kind for a in m.enabled(s) if a.tx == 2}
     assert "doCommitW" not in kinds and "doCommitRO" not in kinds
     assert "abortResp" in kinds
-    s, e = m.step(s, mact("abortResp", 2))
+    s, e = m.step(s, act("abortResp", 2))
     assert e == H.res_commit_abort(2)
     assert s.pc[1] == "aborted"
 
@@ -128,14 +128,14 @@ def test_writer_with_stale_read_cannot_commit() -> None:
 def test_own_write_read_back_without_read_set_update() -> None:
     m = Dtms2Machine(CFG)
     s, _ = run_steps(m, [
-        mact("invBegin", 1), mact("resBegin", 1),
-        mact("invWrite", 1, addr=0, val=1), mact("doWrite", 1), mact("resWrite", 1),
-        mact("invRead", 1, addr=0),
+        act("invBegin", 1), act("resBegin", 1),
+        act("invWrite", 1, addr=0, val=1), act("doWrite", 1), act("resWrite", 1),
+        act("invRead", 1, addr=0),
     ])
     reads = [a for a in m.enabled(s) if a.kind == "doRead"]
     assert len(reads) == 1 and reads[0].idx is None
     s, _ = m.step(s, reads[0])
-    s, e = m.step(s, mact("resRead", 1))
+    s, e = m.step(s, act("resRead", 1))
     assert e == H.res_read(1, 1)
     assert s.rd_set[0] == ()
 
@@ -144,27 +144,27 @@ def test_abort_response_only_for_pending_operations() -> None:
     m = Dtms2Machine(CFG)
     s = m.initial()
     assert not any(a.kind == "abortResp" for a in m.enabled(s))
-    s, _ = m.step(s, mact("invBegin", 1))
+    s, _ = m.step(s, act("invBegin", 1))
     assert not any(a.kind == "abortResp" for a in m.enabled(s))  # begin never aborts
-    s, _ = m.step(s, mact("resBegin", 1))
+    s, _ = m.step(s, act("resBegin", 1))
     assert not any(a.kind == "abortResp" for a in m.enabled(s))
-    s, _ = m.step(s, mact("invRead", 1, addr=0))
+    s, _ = m.step(s, act("invRead", 1, addr=0))
     assert any(a.kind == "abortResp" for a in m.enabled(s))
-    s2, e = m.step(s, mact("abortResp", 1))
+    s2, e = m.step(s, act("abortResp", 1))
     assert e == H.res_read_abort(1)
     assert s2.pc[0] == "aborted"
-    s, _ = m.step(s, mact("doRead", 1, idx=0))
-    s2, e = m.step(s, mact("abortResp", 1))  # a computed response may still abort
+    s, _ = m.step(s, act("doRead", 1, idx=0))
+    s2, e = m.step(s, act("abortResp", 1))  # a computed response may still abort
     assert e == H.res_read_abort(1)
 
 
 def test_crash_truncates_snapshots_and_aborts_live_txns() -> None:
     m = Dtms2Machine(CFG)
     s, _ = run_steps(m, COMMITTED_WRITE_1 + [
-        mact("invBegin", 2), mact("resBegin", 2),
-        mact("invWrite", 2, addr=1, val=1), mact("doWrite", 2),
+        act("invBegin", 2), act("resBegin", 2),
+        act("invWrite", 2, addr=1, val=1), act("doWrite", 2),
     ])
-    s, e = m.step(s, mact("crash"))
+    s, e = m.step(s, act("crash"))
     assert e == H.CRASH
     assert s.mems == ((1, 0),)
     assert s.pc == ("committed", "aborted")
@@ -175,7 +175,7 @@ def test_non_durable_variant_has_no_crash() -> None:
     m = Dtms2Machine(CFG, durable=False)
     assert not any(a.kind == "crash" for a in m.enabled(m.initial()))
     with pytest.raises(ValueError):
-        m.step(m.initial(), mact("crash"))
+        m.step(m.initial(), act("crash"))
 
 
 def test_building_a_machine_is_linear_in_transactions() -> None:
@@ -183,9 +183,9 @@ def test_building_a_machine_is_linear_in_transactions() -> None:
     # transaction, wait for a transaction's first read or commit; what is
     # left is at most the 12 enabled and internal actions of each
     # transaction's tables on one address and one value, and the crash
-    before = mact.cache_info().currsize
+    before = act.cache_info().currsize
     Dtms2Machine(H.Domain(2000, 1, 1))
-    assert mact.cache_info().currsize - before <= 12 * 2000 + 1
+    assert act.cache_info().currsize - before <= 12 * 2000 + 1
 
 
 def test_building_a_machine_does_no_emission_work(monkeypatch) -> None:
@@ -218,7 +218,7 @@ def test_building_a_machine_does_no_emission_work(monkeypatch) -> None:
 def test_step_rejects_disabled_action() -> None:
     m = Dtms2Machine(CFG)
     with pytest.raises(ValueError):
-        m.step(m.initial(), mact("resBegin", 1))
+        m.step(m.initial(), act("resBegin", 1))
 
 
 # acceptance by subset construction -------------------------------------------

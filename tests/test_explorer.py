@@ -490,6 +490,20 @@ def test_report_carries_the_run_config() -> None:
     assert explore_exhaustive(cfg).as_dict()["config"] == config
     assert explore_random(cfg).as_dict()["config"] == {**config,
                                                        "dedup": None}
+    # the reference walks take no background flush and inject no fault
     ref = replace(cfg, checks=("opacity",), mutation=None)
     assert walk_reference(ref).as_dict()["config"] == {
-        **config, "dedup": None, "checks": ["opacity"], "mutation": None}
+        **config, "dedup": None, "checks": ["opacity"], "flush_budget": None,
+        "mutation": None}
+
+
+def test_walk_reference_refuses_a_mutation() -> None:
+    # a fault is the logging machine's; the automaton walks would run
+    # unchanged and report it as covered
+    cfg = ExplorationConfig(num_walks=3, checks=("weaksim",),
+                            mutation="skip_undo_log", flush_budget=5)
+    with pytest.raises(ValueError, match="does not apply to the reference"):
+        walk_reference(cfg)
+    rep = walk_reference(replace(cfg, mutation=None))
+    assert rep.ok and rep.histories_explored == 3
+    assert (rep.config["flush_budget"], rep.config["mutation"]) == (None, None)

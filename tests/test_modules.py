@@ -10,7 +10,9 @@ still exists.  And there is one search loop: no ``while x:`` loop that pops
 from ``x`` outside ``durastm.reach``.  No checker knows the faults: only the
 machine that injects them names one.  And a run records a violation in one
 place: nothing appends to or extends a ``violations`` list outside
-``CheckReport.add``."""
+``CheckReport.add``.  And both machines step by one action type: only
+``histories.act`` calls ``Action(...)``, and no other class is an action
+class."""
 from __future__ import annotations
 
 import ast
@@ -151,7 +153,7 @@ def test_dead_name_detector_sees_each_form() -> None:
 
 
 # caches whose keys come from a finite alphabet: the interned actions
-_UNBOUNDED_OK = frozenset({"durastm.dtml.act", "durastm.dtms2.mact"})
+_UNBOUNDED_OK = frozenset({"durastm.histories.act"})
 
 
 def _unbounded_caches(namespaces: list[dict]) -> list[str]:
@@ -195,8 +197,7 @@ def test_unbounded_cache_detector_sees_each_form() -> None:
 
 # caches sized otherwise on purpose: the interned actions (a finite
 # alphabet) and count_histories' table, which lives for one call
-_CACHE_SIZE_OK = frozenset({
-    "dtml.act", "dtms2.mact", "histories.count_histories.cnt"})
+_CACHE_SIZE_OK = frozenset({"histories.act", "histories.count_histories.cnt"})
 
 
 def _cache_kind(node: ast.AST) -> str | None:
@@ -420,6 +421,79 @@ def test_violation_write_detector_sees_each_form() -> None:
     assert _violation_writes({"other": source}) == [
         "other.CheckReport.add:3", "other.run:5", "other.run:6",
         "other.run:7", "other.run:9"]
+
+
+# the one action type and its one interner
+_ACTION_OK = frozenset({"histories.Action", "histories.act"})
+
+
+def _action_makers(modules: dict[str, str],
+                   allowed: frozenset[str]) -> list[str]:
+    """Every call of ``Action(...)``, bare or through a module, and every
+    class that is an action class: one whose name ends in ``Action`` or
+    that declares a ``kind`` field.  Named module.owner:line, a class by
+    its own name; ``a._replace(...)`` makes no new kind of action and is
+    not a call of ``Action``."""
+    found = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields = {stmt.target.id for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and isinstance(stmt.target, ast.Name)}
+                if not (node.name.endswith("Action") or "kind" in fields):
+                    continue
+                owner = ".".join(filter(None, (_owner(node, parents),
+                                               node.name)))
+            elif isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "Action"
+                    or getattr(node.func, "attr", None) == "Action"):
+                owner = _owner(node, parents)
+            else:
+                continue
+            name = f"{module}.{owner}"
+            if name not in allowed:
+                found.append(f"{name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_one_action_type_and_one_interner() -> None:
+    # the logging machine and the automaton share their invocations and
+    # responses, so they build them from one type through one interner
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(modules) >= 9
+    # each exemption names a definition that is still there
+    assert {found.split(":")[0] for found in
+            _action_makers(modules, frozenset())} == _ACTION_OK
+    assert _action_makers(modules, _ACTION_OK) == []
+
+
+def test_action_maker_detector_sees_each_form() -> None:
+    source = ("from typing import NamedTuple\n"
+              "from . import histories as H\n"
+              "class StepAction(NamedTuple):\n"
+              "    kind: str\n"
+              "class Step(NamedTuple):\n"
+              "    kind: str\n"
+              "    tx: int\n"
+              "class Event(NamedTuple):\n"
+              "    ev: str\n"
+              "def act(kind):\n"
+              "    return Action(kind)\n"
+              "def build(a):\n"
+              "    return H.Action('crash'), a._replace(idx=1), act('C1')\n"
+              "class Machine:\n"
+              "    class InnerAction:\n"
+              "        pass\n")
+    assert _action_makers({"m": source}, frozenset()) == [
+        "m.Machine.InnerAction:15", "m.Step:5", "m.StepAction:3",
+        "m.act:11", "m.build:13"]
+    assert _action_makers({"m": source}, frozenset({"m.act", "m.Step"})) == [
+        "m.Machine.InnerAction:15", "m.StepAction:3", "m.build:13"]
 
 
 def _fault_names(source: str, faults: tuple[str, ...]) -> list[str]:

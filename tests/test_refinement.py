@@ -19,16 +19,16 @@ import pytest
 
 from durastm import histories as H
 from durastm import refinement
-from durastm.dtml import DtmlMachine, act
+from durastm.dtml import DtmlMachine
 from durastm.dtms2 import (
     Acceptor,
     Dtms2Machine,
     compact_history,
     dtms2_accepts,
     dtms2_random_walk,
-    mact,
 )
 from durastm.explorer import ExplorationConfig, explore_exhaustive
+from durastm.histories import act
 from durastm.nvm import MemoryPair, UndoLog
 from durastm.refinement import (
     check_simulation,
@@ -305,12 +305,12 @@ def test_per_pair_simulation_names_each_fault(monkeypatch, fault) -> None:
 
 def test_weak_sim_erases_crash_from_committed_write_run() -> None:
     schedule = [
-        mact("invBegin", 1), mact("resBegin", 1),
-        mact("invWrite", 1, addr=0, val=1), mact("doWrite", 1), mact("resWrite", 1),
-        mact("invCommit", 1), mact("doCommitW", 1), mact("resCommit", 1),
-        mact("crash"),
-        mact("invBegin", 2), mact("resBegin", 2),
-        mact("invRead", 2, addr=0), mact("doRead", 2, idx=0), mact("resRead", 2),
+        act("invBegin", 1), act("resBegin", 1),
+        act("invWrite", 1, addr=0, val=1), act("doWrite", 1), act("resWrite", 1),
+        act("invCommit", 1), act("doCommitW", 1), act("resCommit", 1),
+        act("crash"),
+        act("invBegin", 2), act("resBegin", 2),
+        act("invRead", 2, addr=0), act("doRead", 2, idx=0), act("resRead", 2),
     ]
     rep = check_weak_sim(DURABLE, CRASH_FREE, schedule)
     assert rep.ok
@@ -322,11 +322,11 @@ def test_weak_sim_erases_crash_from_committed_write_run() -> None:
 
 def test_weak_sim_mirrors_interrupted_transaction() -> None:
     schedule = [
-        mact("invBegin", 1), mact("resBegin", 1),
-        mact("invWrite", 1, addr=0, val=1), mact("doWrite", 1),
-        mact("crash"),  # transaction 1 dies with its write pending
-        mact("invBegin", 2), mact("resBegin", 2),
-        mact("invRead", 2, addr=0), mact("doRead", 2, idx=0), mact("resRead", 2),
+        act("invBegin", 1), act("resBegin", 1),
+        act("invWrite", 1, addr=0, val=1), act("doWrite", 1),
+        act("crash"),  # transaction 1 dies with its write pending
+        act("invBegin", 2), act("resBegin", 2),
+        act("invRead", 2, addr=0), act("doRead", 2, idx=0), act("resRead", 2),
     ]
     rep = check_weak_sim(DURABLE, CRASH_FREE, schedule)
     assert rep.ok

@@ -11,10 +11,13 @@ machine's refusal text.
 
 The walk also digests the graph: the number of states, the number of edges,
 and a sha256 over the sorted ``repr((tuple(s), a, tuple(s2), ev))`` of every
-edge.  The pinned values were computed on the machines as they were before
+edge.  The pinned counts were computed on the machines as they were before
 they built their action tables, when ``enabled`` and ``step`` still rebuilt
 the action lists on every call, so they show that the tables changed no
-state, edge, action or event.
+state, edge, action or event.  The digests hash the repr of the one action
+type, ``histories.Action``; each equals the digest of the earlier sorted
+edge list, written with one action type per machine, once each action's
+repr is rewritten to ``Action(...)`` with ``idx=None`` where it had none.
 """
 from __future__ import annotations
 
@@ -24,9 +27,10 @@ from collections import Counter
 import pytest
 
 from durastm import histories as H
-from durastm.dtml import MUTATIONS, DtmlMachine, act
+from durastm.dtml import MUTATIONS, DtmlMachine
 from durastm.dtms2 import (Dtms2Machine, Dtms2State, _matching_actions,
-                           _silent, mact)
+                           _silent)
+from durastm.histories import act
 from durastm.reach import reach
 
 _DTML_LINES = ("B1", "B2", "R1", "R2", "W1", "W2", "W3", "W4", "W5", "W6",
@@ -58,13 +62,46 @@ def dtms2_alphabet(d: H.Domain) -> list:
     idxs = range(d.num_txns + 1)
     out = []
     for t in range(1, d.num_txns + 1):
-        out += [mact(k, t) for k in _DTMS2_PLAIN]
-        out += [mact("invRead", t, addr=a) for a in addrs]
-        out += [mact("invWrite", t, addr=a, val=v) for a in addrs for v in vals]
-        out += [mact(k, t, idx=n) for k in ("doRead", "doCommitRO")
+        out += [act(k, t) for k in _DTMS2_PLAIN]
+        out += [act("invRead", t, addr=a) for a in addrs]
+        out += [act("invWrite", t, addr=a, val=v) for a in addrs for v in vals]
+        out += [act(k, t, idx=n) for k in ("doRead", "doCommitRO")
                 for n in idxs]
-    out += [mact("crash"), mact("invBegin", d.num_txns + 1)]
+    out += [act("crash"), act("invBegin", d.num_txns + 1)]
     return out
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 2), (2, 2, 2), (3, 1, 3)])
+def test_both_machines_hold_the_one_ready_row(dims) -> None:
+    # the logging machine and the automaton share their invocations as
+    # objects: each ready row is histories.ready_invocations
+    d = H.Domain(*dims)
+    dtml, dtms2 = DtmlMachine(d), Dtms2Machine(d)
+    addrs, vals = range(d.num_addrs), range(d.num_vals)
+    for t in range(1, d.num_txns + 1):
+        row = H.ready_invocations(t, addrs, vals)
+        ours = dtml._txn_acts[t - 1]["Idle"]
+        theirs = dtms2._txn_acts[t - 1]["ready"]
+        assert ours == theirs == row
+        assert all(a is b is c for a, b, c in zip(ours, theirs, row))
+    assert dtml._tail[-1] is dtms2._tail[0] is act("crash")
+
+
+def test_ready_invocations_follow_the_grammar_order() -> None:
+    # reads per address, writes per address and value, then the commit
+    assert [str(a) for a in H.ready_invocations(2, range(2), range(2))] == [
+        "invRead(t2, a0)", "invRead(t2, a1)", "invWrite(t2, a0, v0)",
+        "invWrite(t2, a0, v1)", "invWrite(t2, a1, v0)",
+        "invWrite(t2, a1, v1)", "invCommit(t2)"]
+
+
+def test_actions_print_as_before() -> None:
+    assert [str(a) for a in (act("invWrite", 1, addr=0, val=1), act("E2", 2),
+                             act("doRead", 2, idx=1), act("crash"),
+                             act("C2", addr=1, val=0), act("flush", addr=0),
+                             act("C6"), act("abortResp", 1))] == [
+        "invWrite(t1, a0, v1)", "E2(t2)", "doRead(t2, n1)", "crash",
+        "C2(a1, v0)", "flush(a0)", "C6", "abortResp(t1)"]
 
 
 def dtml_refusal(m: DtmlMachine, a) -> str:
@@ -120,26 +157,26 @@ def steps(m, s):
 DTML_GRAPHS = {
     ((2, 2, 2), None): (
         20679, 103153,
-        "f7ff164fcd933651244a394b7f7b93c4787095310dbd62fe71508b10afe92e94"),
+        "ca1bf55cec70361f95d893453ffdd45d7d32e598fb47941e307b19b757547abf"),
     ((2, 1, 2), "skip_flush_W7"): (
         4380, 17264,
-        "52fb3cac336844e731ee1c4fcdf45548fe49e36ccbcf9731bfb8e10c891bc6d0"),
+        "f38f9c87a2a430492f026206afba2421df4813712240dbbc9109c9731795a639"),
     ((2, 2, 2), "skip_undo_log"): (
         8587, 44481,
-        "e0f0140736318bcca039773988c195e4cfc31b13aa68113de24a4fe149f0a4f0"),
+        "bbfd8e6175aee1c0a25630533a5199639bb6781993e306f6525af5b7d39ed3a6"),
     ((2, 2, 2), "skip_log_clear_E2"): (
         15835, 82061,
-        "4e720a9aab209089c1a766f6e229cf0f1a038301d3962c78ae4386954ed21be0"),
+        "3c7fefd7600667ad9c3171b17902712cbc29994fa81a9c31e11cb73d41829280"),
 }
 
 # (domain, durable) -> (states, edges, sha256)
 DTMS2_GRAPHS = {
     ((2, 1, 2), True): (
         3932, 17790,
-        "bbc07709548e03dced03011ad34ba4fca4577927242a3b265e9bb15b27e7c388"),
+        "70fae8e58d1c8912413c5fe86c40afb2df8c3c8cbf36fa7cdfcfbf1e4f688aa2"),
     ((2, 1, 2), False): (
         3726, 13450,
-        "01286bd4359f49d2769958a75d2c8ab891a1b931dc7a79e4a9362021ca5db579"),
+        "e0a760106182f8971f8a9223c1ca7abad6d5ad1df3f4bde93aff7719b240e771"),
 }
 
 
